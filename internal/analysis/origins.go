@@ -100,20 +100,6 @@ func (a *originAcc) merge(o *originAcc) {
 	}
 }
 
-// clone returns an independent deep copy, for snapshotting a live shard
-// without disturbing it.
-func (a *originAcc) clone() *originAcc {
-	c := &originAcc{minSets: a.minSets, vo: a.vo, byOrigin: make(map[string]*originStats, len(a.byOrigin))}
-	for origin, s := range a.byOrigin {
-		cs := &originStats{values: make(map[sim.Duration]int, len(s.values)), class: s.class, sets: s.sets, timers: s.timers}
-		for v, n := range s.values {
-			cs.values[v] = n
-		}
-		c.byOrigin[origin] = cs
-	}
-	return c
-}
-
 func (a *originAcc) finish() []OriginRow {
 	rows := make([]OriginRow, 0, len(a.byOrigin))
 	for origin, s := range a.byOrigin {

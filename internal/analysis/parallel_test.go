@@ -35,7 +35,11 @@ func standardPipeline() Pipeline {
 // actually receive work and chunk boundaries fall mid-lifecycle: 512 timers
 // across a few origins, interleaved set/expire/cancel with varied timeouts
 // and processes, plus same-instant armings to exercise the series
-// tie-break.
+// tie-break. Two timers run through the whole tail: a select countdown
+// (countdownID) re-armed with its remaining time, so every third of the
+// tail gives it well over 1,000 distinct timeout values, and a timer
+// (pidHopID) whose PID goes A→B→A, so its cluster key changes and changes
+// back.
 func wideTrace() *trace.Buffer {
 	b := richTrace()
 	origins := []string{"kernel/tcp", "firefox/poll", "Xorg/select", "svc/wait"}
@@ -60,12 +64,31 @@ func wideTrace() *trace.Buffer {
 			T: t0 + sim.Time(timeout), Op: endOp, TimerID: id,
 			Origin: b.Origin(origin), PID: int32(i % 5), Flags: flags,
 		})
+		if i%4 == 1 {
+			b.Log(trace.Record{
+				T: t0, Op: trace.OpSet, TimerID: countdownID, Timeout: int64(sim.Hour - sim.Duration(t0)),
+				Origin: b.Origin("firefox/poll"), PID: 3, Flags: trace.FlagUser,
+			})
+		}
+		if i%8 == 2 {
+			pid := int32(40 + (i/8)%3%2) // 40, 41, 40, 40, 41, 40, …
+			b.Log(trace.Record{
+				T: t0, Op: trace.OpSet, TimerID: pidHopID, Timeout: int64(250 * sim.Millisecond),
+				Origin: b.Origin("svc/wait"), PID: pid, Flags: trace.FlagUser,
+			})
+		}
 		if i%7 != 0 {
 			t0 += sim.Time(10 * sim.Millisecond) // i%7==0 repeats the instant
 		}
 	}
 	return b
 }
+
+// The wideTrace timers that outgrow the common per-timer shapes.
+const (
+	countdownID = 90
+	pidHopID    = 91
+)
 
 // spillTrace re-logs a Buffer through a StreamWriter with the given chunk
 // size and returns the encoded v2 stream.
@@ -106,6 +129,11 @@ func TestRunParallelMatchesRunAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := reportBytes(t, serial)
+	// Pin the streaming summary (the PID-hopping timer's clusters included)
+	// to the lifecycle reconstruction, independently of the shard code.
+	if got, ref := serial.Summary, Summarize(b); got != ref {
+		t.Fatalf("Run summary %+v, lifecycle summary %+v", got, ref)
+	}
 
 	// The stream and the buffer must agree before parallelism enters.
 	sr, err := trace.NewStreamReader(bytes.NewReader(data))
@@ -236,5 +264,33 @@ func TestShardRecordZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("shard.record allocated %.2f per replay in steady state, want 0", avg)
+	}
+}
+
+// TestShardFoldZeroAlloc is the AllocsPerRun==0 guard on the end-of-trace
+// fold and classification: with the distinct-value scratch warmed (by a
+// countdown timer far past inlineTvals) and every bin present, folding a
+// shard into itself or into a merge output allocates nothing.
+func TestShardFoldZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	p := standardPipeline()
+	b := wideTrace()
+	sh, out := p.newShard(), p.newShard()
+	for _, r := range b.Records() {
+		sh.record(r, nil, b)
+	}
+	sh.fold()
+	out.foldFrom(sh)
+	cd := sh.timer(sh.byID[countdownID])
+	for name, avg := range map[string]float64{
+		"classify": testing.AllocsPerRun(100, func() { _ = sh.classify(cd) }),
+		"fold":     testing.AllocsPerRun(20, sh.fold),
+		"foldFrom": testing.AllocsPerRun(20, func() { out.foldFrom(sh) }),
+	} {
+		if avg != 0 {
+			t.Errorf("%s allocated %.2f per run with a warmed scratch, want 0", name, avg)
+		}
 	}
 }

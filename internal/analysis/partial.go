@@ -3,16 +3,16 @@ package analysis
 import (
 	"sync"
 
-	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
 )
 
 // Incremental analysis. A Partial is a pipeline shard that is fed chunks as
 // they arrive — from a live ingest connection, a file replayed piecewise,
 // or any other incremental source — instead of in one Run. At any moment a
-// set of Partials can be snapshotted and merged into a finished Report
-// without disturbing their live state, so a trace service can answer
-// queries mid-stream and keep folding records afterwards.
+// set of Partials can be merged into a finished Report without disturbing
+// their live state: the merge reads each Partial under its lock and writes
+// only a fresh output shard, so a trace service can answer queries
+// mid-stream and keep folding records afterwards.
 //
 // Determinism contract: MergePartials over Partials fed one stream each is
 // byte-identical to a single Run over the concatenation of those streams
@@ -83,93 +83,25 @@ func (pa *Partial) Records() uint64 {
 	return pa.records
 }
 
-// snapshot clones the live shard under the lock. The clone is deep: the
-// caller may fold and merge it while the Partial keeps accumulating.
-func (pa *Partial) snapshot() *shard {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	return pa.sh.clone()
-}
-
-// MergePartials snapshots every Partial and merges the clones into a
-// finished Report, leaving the live state untouched. Partials must all come
-// from this pipeline configuration and are merged in slice order — the
-// order that defines the equivalent concatenated stream.
+// MergePartials merges every Partial into a finished Report while leaving
+// the live state untouched. Partials must all come from this pipeline
+// configuration and are merged in slice order — the order that defines the
+// equivalent concatenated stream. Each Partial is read under its own lock:
+// its accumulators merge (copying, never aliasing) into one fresh output
+// shard, and its timer table folds read-only into that shard, so nothing is
+// cloned and the Partial keeps folding records once the lock is released.
 func (p Pipeline) MergePartials(parts []*Partial) *Report {
-	if len(parts) == 0 {
-		sh := p.newShard()
-		sh.fold()
-		return p.report([]*shard{sh}, 0)
-	}
-	shards := make([]*shard, len(parts))
+	out := p.newShard()
 	concurrency, carried := 0, 0
-	for i, pa := range parts {
-		sh := pa.snapshot()
-		sh.fold()
-		if c := carried + sh.maxOpen; c > concurrency {
+	for _, pa := range parts {
+		pa.mu.Lock()
+		out.merge(pa.sh)
+		out.foldFrom(pa.sh)
+		if c := carried + pa.sh.maxOpen; c > concurrency {
 			concurrency = c
 		}
-		carried += sh.openCount
-		shards[i] = sh
+		carried += pa.sh.openCount
+		pa.mu.Unlock()
 	}
-	return p.report(shards, concurrency)
-}
-
-// clone deep-copies a shard mid-fold: arena blocks (including each timer's
-// spilled timeout histogram), the identity map, every accumulator, and the
-// additive tallies. Fold-time state (pending uses, open flags) copies too,
-// so the clone can be folded — which mutates it — while the original keeps
-// streaming.
-func (s *shard) clone() *shard {
-	c := &shard{
-		cfg:           s.cfg,
-		seriesProcess: s.seriesProcess,
-		sum:           s.sum,
-		end:           s.end,
-		shares:        s.shares,
-		nTimers:       s.nTimers,
-		openCount:     s.openCount,
-		maxOpen:       s.maxOpen,
-	}
-	c.values = s.values.clone()
-	c.vaccs = append(c.vaccs, c.values)
-	if s.valuesF != nil {
-		c.valuesF = s.valuesF.clone()
-		c.vaccs = append(c.vaccs, c.valuesF)
-	}
-	if s.valuesU != nil {
-		c.valuesU = s.valuesU.clone()
-		c.vaccs = append(c.vaccs, c.valuesU)
-	}
-	if s.scatter != nil {
-		c.scatter = s.scatter.clone()
-	}
-	if s.origins != nil {
-		c.origins = s.origins.clone()
-	}
-	c.pts = append([]SeriesPoint(nil), s.pts...)
-	c.clusters = make(map[cluster]bool, len(s.clusters))
-	for k := range s.clusters {
-		c.clusters[k] = true
-	}
-	c.byID = make(map[uint64]int32, len(s.byID))
-	for id, idx := range s.byID {
-		c.byID[id] = idx
-	}
-	c.blocks = make([][]streamTimer, len(s.blocks))
-	for i, blk := range s.blocks {
-		nb := make([]streamTimer, len(blk))
-		copy(nb, blk)
-		for j := range nb {
-			if m := nb[j].tvMore; m != nil {
-				nm := make(map[sim.Duration]int, len(m))
-				for v, n := range m {
-					nm[v] = n
-				}
-				nb[j].tvMore = nm
-			}
-		}
-		c.blocks[i] = nb
-	}
-	return c
+	return p.report([]*shard{out}, concurrency)
 }

@@ -72,9 +72,9 @@ func oracleReport(tb testing.TB, p Pipeline, streams [][]trace.Record, origins [
 
 // TestPartialMergeMatchesRunInterleaved feeds three streams into three
 // Partials in seeded-random interleavings with random chunk boundaries,
-// snapshotting mid-feed: every MergePartials — intermediate or final — must
-// be byte-identical to a single Run over the equivalent concatenated
-// prefix, and snapshots must not disturb the live fold.
+// merging mid-feed: every MergePartials — intermediate or final — must be
+// byte-identical to a single Run over the equivalent concatenated prefix,
+// and merges must not disturb the live fold.
 func TestPartialMergeMatchesRunInterleaved(t *testing.T) {
 	const nstreams = 3
 	p, streams, origins := buildPartialStreams(t, nstreams)
@@ -160,7 +160,7 @@ func TestPartialAddSourceStreamMatchesRun(t *testing.T) {
 
 // TestPartialConcurrentFeedAndSnapshot feeds each stream from its own
 // goroutine while another hammers MergePartials. Under -race this audits
-// the snapshot locking; the final merged report must still equal the
+// the merge's locking; the final merged report must still equal the
 // oracle, since per-stream order is preserved no matter how feeds
 // interleave across streams.
 func TestPartialConcurrentFeedAndSnapshot(t *testing.T) {
@@ -196,5 +196,34 @@ func TestPartialConcurrentFeedAndSnapshot(t *testing.T) {
 	want := oracleReport(t, p, streams, origins, full)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("concurrent-fed merge differs from oracle Run:\n%s\n%s", got, want)
+	}
+}
+
+// TestPartialStreamsReachWideTimers pins the fixture the merge tests share:
+// every stream cut carries a countdown timer spilled far past inlineTvals
+// and a timer whose PID goes A→B→A, so the merges above exercise the
+// distinct-value sort and the per-timer cluster key.
+func TestPartialStreamsReachWideTimers(t *testing.T) {
+	p, streams, origins := buildPartialStreams(t, 3)
+	for s, recs := range streams {
+		pa := p.NewPartial()
+		pa.AddChunk(trace.Chunk{Records: recs, Origins: origins})
+		ns := uint64(s+1) << 48
+		idx, ok := pa.sh.byID[countdownID|ns]
+		if !ok {
+			t.Fatalf("stream %d: no countdown timer", s)
+		}
+		if cd := pa.sh.timer(idx); int(cd.ntv)+len(cd.tvMore) < 1000 {
+			t.Errorf("stream %d: countdown timer has %d distinct values, want ≥ 1000", s, int(cd.ntv)+len(cd.tvMore))
+		}
+		var pids []int32
+		for _, r := range recs {
+			if r.TimerID == pidHopID|ns && (len(pids) == 0 || pids[len(pids)-1] != r.PID) {
+				pids = append(pids, r.PID)
+			}
+		}
+		if len(pids) < 3 || pids[0] == pids[1] || pids[0] != pids[2] {
+			t.Errorf("stream %d: PID-hopping timer's PID runs are %v, want A→B→A", s, pids)
+		}
 	}
 }

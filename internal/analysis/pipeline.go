@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
+
 	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
 )
@@ -76,9 +79,12 @@ type tvalSlot struct {
 }
 
 // inlineTvals is the number of distinct timeout values a timer tracks
-// without spilling to a map. Almost every timer in the paper's workloads
-// uses one or two distinct values; four covers jitterless re-arming plus a
-// couple of outliers.
+// without spilling to a map. Measured per timer on the paper's workloads:
+// every Vista timer uses at most 3 distinct values except on the desktop
+// trace (up to 578), while a Linux select-countdown timer re-armed with its
+// remaining time reaches 15,080 (seed 1, 300 s). Four inline slots cover
+// the common case; the spill map and constantValue's O(k log k) sort cover
+// the countdowns.
 const inlineTvals = 4
 
 // streamTimer is the bounded per-timer state the streaming pass keeps in
@@ -128,6 +134,11 @@ type streamTimer struct {
 
 	// hasUse reports at least one arming ever (gates the Figure 2 tally).
 	hasUse bool
+
+	// The (origin name, PID) cluster key of this timer's last record, so
+	// record writes the shard's cluster set only when the key changes.
+	hasCluster  bool
+	lastCluster cluster
 }
 
 // addTval counts one closed-use timeout value.
@@ -275,7 +286,10 @@ func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 		t.originName = resolveOrigin(origins, src, r.Origin)
 	}
 	s.sum.Accesses++
-	s.clusters[cluster{resolveOrigin(origins, src, r.Origin), r.PID}] = true
+	if k := (cluster{resolveOrigin(origins, src, r.Origin), r.PID}); !t.hasCluster || k != t.lastCluster {
+		s.clusters[k] = true
+		t.lastCluster, t.hasCluster = k, true
+	}
 	if r.IsUser() {
 		s.sum.UserSpace++
 	} else {
@@ -406,8 +420,8 @@ func (s *shard) classify(t *streamTimer) Class {
 
 // constantValue mirrors constantValue over the timeout histogram: the
 // median of the closed-use multiset and the 90 %-within-tolerance rule.
-// The shard's scratch slice keeps the fold allocation-free; the distinct
-// values are insertion-sorted (they are almost always ≤ inlineTvals many).
+// The shard's scratch slice keeps the fold allocation-free, and sorting the
+// k distinct values costs O(k log k): countdown timers reach thousands.
 func (s *shard) constantValue(t *streamTimer) bool {
 	n := t.closed
 	vals := s.tvScratch[:0]
@@ -415,14 +429,9 @@ func (s *shard) constantValue(t *streamTimer) bool {
 		vals = append(vals, t.tv[i])
 	}
 	for v, c := range t.tvMore {
-		//lint:ignore mapiter the insertion sort below canonicalizes the order; sort.Slice would allocate on this alloc-free fold path
 		vals = append(vals, tvalSlot{v: v, n: c})
 	}
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j].v < vals[j-1].v; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	slices.SortFunc(vals, func(a, b tvalSlot) int { return cmp.Compare(a.v, b.v) })
 	s.tvScratch = vals
 	var median sim.Duration
 	cum := 0
@@ -446,14 +455,18 @@ func (s *shard) constantValue(t *streamTimer) bool {
 	return within*10 >= n*9
 }
 
-// fold finishes the per-timer state after the last record: trailing pending
-// uses resolve, and each timer with at least one use classifies into the
-// shard's Figure 2 and Table 3 tallies. Timers fold in creation order, but
-// nothing order-sensitive leaves the fold: every output is an additive
-// tally or canonically sorted at finish.
-func (s *shard) fold() {
-	for i := 0; i < s.nTimers; i++ {
-		t := s.timer(int32(i))
+// fold finishes the shard's own per-timer state after the last record.
+func (s *shard) fold() { s.foldFrom(s) }
+
+// foldFrom finishes src's per-timer state into s's accumulators: trailing
+// pending uses resolve, and each timer with at least one use classifies
+// into s's Figure 2 and Table 3 tallies. It only reads src's timer table,
+// so src may be a live shard that keeps folding records afterwards. Timers
+// fold in creation order, but nothing order-sensitive leaves the fold:
+// every output is an additive tally or canonically sorted at finish.
+func (s *shard) foldFrom(src *shard) {
+	for i := 0; i < src.nTimers; i++ {
+		t := src.timer(int32(i))
 		if t.hasPend {
 			// The last use has no successor: a chain member only if the
 			// step from its predecessor held.
@@ -468,7 +481,7 @@ func (s *shard) fold() {
 			}
 		}
 	}
-	s.sum.Timers = s.nTimers
+	s.sum.Timers += src.nTimers
 }
 
 // merge folds another shard of the same Pipeline into s. Every operation is

@@ -126,17 +126,6 @@ func (a *scatterAcc) merge(o *scatterAcc) {
 	}
 }
 
-// clone returns an independent deep copy; the binning table is immutable
-// and shared.
-func (a *scatterAcc) clone() *scatterAcc {
-	c := &scatterAcc{opts: a.opts, vo: a.vo, bins: a.bins, agg: make(map[scatterKey]*ScatterPoint, len(a.agg))}
-	for k, p := range a.agg {
-		cp := *p
-		c.agg[k] = &cp
-	}
-	return c
-}
-
 func (a *scatterAcc) finish() []ScatterPoint {
 	out := make([]ScatterPoint, 0, len(a.agg))
 	for _, p := range a.agg {

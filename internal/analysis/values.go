@@ -154,16 +154,6 @@ func (a *valueAcc) merge(o *valueAcc) {
 	a.total += o.total
 }
 
-// clone returns an independent deep copy, for snapshotting a live shard
-// without disturbing it.
-func (a *valueAcc) clone() *valueAcc {
-	c := &valueAcc{opts: a.opts, counts: make(map[valueKey]int, len(a.counts)), total: a.total}
-	for k, n := range a.counts {
-		c.counts[k] = n
-	}
-	return c
-}
-
 // finish applies the share threshold and returns the sorted entries plus the
 // total sample count.
 func (a *valueAcc) finish() ([]ValueEntry, int) {

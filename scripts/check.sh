@@ -25,15 +25,21 @@ go test -race -count=2 -run 'TestSpillMatchesMemory' ./cmd/experiments
 echo "== serial-vs-parallel analysis determinism golden test =="
 # Pipeline.RunParallel must produce byte-identical reports to Pipeline.Run
 # at every worker count, over buffers and v2 streams, including chunk sizes
-# that straddle origin frames and timer lifecycles.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestParallelForEachMatchesSerial' \
+# that straddle origin frames and timer lifecycles; MergePartials over live
+# Partials, fed in random interleavings or concurrently with merges, must
+# equal one Run over the concatenated streams.
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestParallelForEachMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # Run WITHOUT -race: the race detector instruments allocations and would
 # make AllocsPerRun report false positives.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc' \
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc' \
 	./internal/sim ./internal/trace ./internal/analysis
+
+echo "== benchmark self-tests (tiny workloads, every output check) =="
+# _perfbench is its own module; its tests run each workload at --tiny scale.
+(cd _perfbench && go test .)
 
 echo "== codec fuzz smoke (10s per format) =="
 go test -run '^$' -fuzz 'FuzzDecode$' -fuzztime=10s ./internal/trace
