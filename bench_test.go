@@ -90,32 +90,6 @@ func benchNineWorkloads(b *testing.B, workers int) {
 func BenchmarkNineWorkloadsSerial(b *testing.B)   { benchNineWorkloads(b, 1) }
 func BenchmarkNineWorkloadsParallel(b *testing.B) { benchNineWorkloads(b, 0) }
 
-// --- Ablation: engine event-queue kind under the full evaluation set ---
-
-// benchEngineQueueKind reruns the nine evaluation workloads with the engine's
-// event queue switched between the binary heap and the hierarchical timing
-// wheel. The traces are byte-identical across kinds (see the workloads golden
-// test); this measures what the choice costs end to end, with allocations
-// reported so pooling regressions in either queue show up as allocs/op.
-func benchEngineQueueKind(b *testing.B, kind sim.QueueKind) {
-	cfg := benchCfg()
-	cfg.Queue = kind
-	specs := workloads.EvaluationSpecs(cfg)
-	var records uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		records = 0
-		workloads.ForEach(specs, 1, func(j int, res *workloads.Result) {
-			records += uint64(res.Trace.Len())
-		})
-	}
-	b.ReportMetric(float64(records), "records")
-}
-
-func BenchmarkEngineQueueHeap(b *testing.B)  { benchEngineQueueKind(b, sim.QueueHeap) }
-func BenchmarkEngineQueueWheel(b *testing.B) { benchEngineQueueKind(b, sim.QueueWheel) }
-
 // --- Single-pass pipeline vs the six independent walks it replaced ---
 
 func benchAnalysisOptions() (vPlain, vFilt, vUser analysis.ValueOptions, sOpts analysis.ScatterOptions) {

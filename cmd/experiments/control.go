@@ -64,7 +64,8 @@ type controlBench struct {
 //
 // window is the boundary to apply at (0 = next); kind is a control.Kind
 // name; host is a fabric name or "*"; arg is numeric, with the mnemonics
-// fixed/adaptive (policy) and heap/wheel (queue); dur is a Go duration.
+// fixed/adaptive (policy) and Go durations (coalesce); dur is a Go
+// duration.
 func parseSteer(spec string, f *fleet.Fleet) ([]control.Command, error) {
 	var cmds []control.Command
 	for _, field := range strings.Split(spec, ",") {
@@ -116,10 +117,6 @@ func parseArg(kind control.Kind, s string) (int64, error) {
 			return fleet.PolicyFixed, nil
 		case "adaptive":
 			return fleet.PolicyAdaptive, nil
-		}
-	case control.KindQueue:
-		if qk, err := sim.ParseQueueKind(s); err == nil {
-			return int64(qk), nil
 		}
 	case control.KindCoalesce:
 		// Coalescing windows read best as durations ("100ms"), falling
@@ -253,7 +250,7 @@ func (hp *hubPoller) report(p *control.Plane, results []hubResult) {
 
 // controlSpec builds the run identity from the fleet flags, mirroring
 // runFleet's host split.
-func controlSpec(queue sim.QueueKind) (control.Spec, error) {
+func controlSpec() (control.Spec, error) {
 	hosts := *hostsFl
 	if hosts < 1 {
 		return control.Spec{}, fmt.Errorf("-hosts must be at least 1")
@@ -266,13 +263,12 @@ func controlSpec(queue sim.QueueKind) (control.Spec, error) {
 		Webservers: ws,
 		Desktops:   hosts - ws,
 		Seed:       *seedFlag,
-		Queue:      queue.String(),
 		End:        sim.FromStd(*fleetDurFl),
 	}, nil
 }
 
 // runControl is the steered-fleet entry point; returns the exit code.
-func runControl(queue sim.QueueKind) int {
+func runControl() int {
 	workers := *fleetWorkersFl
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -307,7 +303,7 @@ func runControl(queue sim.QueueKind) int {
 				cp.Label, cp.Window, resumeFwd.Seconds()*1e3, len(cp.Hosts))
 		}
 	case *replayCmdFl != "":
-		spec, serr := controlSpec(queue)
+		spec, serr := controlSpec()
 		if serr != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", serr)
 			return 2
@@ -327,7 +323,7 @@ func runControl(queue sim.QueueKind) int {
 			fmt.Printf("control: replaying %d recorded commands\n", len(log))
 		}
 	default:
-		spec, serr := controlSpec(queue)
+		spec, serr := controlSpec()
 		if serr != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", serr)
 			return 2
@@ -339,9 +335,9 @@ func runControl(queue sim.QueueKind) int {
 		return 1
 	}
 	spec := p.Spec()
-	fmt.Printf("control: %d hosts (%d webservers, %d desktops), %v virtual, seed %d, %s queue, workers %d\n",
+	fmt.Printf("control: %d hosts (%d webservers, %d desktops), %v virtual, seed %d, workers %d\n",
 		spec.Webservers+spec.Desktops, spec.Webservers, spec.Desktops,
-		spec.End, spec.Seed, spec.Queue, workers)
+		spec.End, spec.Seed, workers)
 
 	if *steerFl != "" {
 		cmds, serr := parseSteer(*steerFl, p.Fleet())
@@ -498,6 +494,5 @@ func runList() int {
 	fmt.Println("  restart   power a killed host back on (60:restart:ws-0000)")
 	fmt.Println("  policy    request-timeout policy: fixed | adaptive (25:policy:*:adaptive)")
 	fmt.Println("  coalesce  periodic-timer coalescing window (30:coalesce:*:100ms)")
-	fmt.Println("  queue     stage an event-queue swap for the next resume: heap | wheel")
 	return 0
 }

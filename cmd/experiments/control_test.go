@@ -21,7 +21,7 @@ func steerFleet(t *testing.T) *fleet.Fleet {
 
 func TestParseSteer(t *testing.T) {
 	f := steerFleet(t)
-	cmds, err := parseSteer("10:spike:*:4:500ms, 20:kill:ws-0000, 25:policy:*:adaptive, 30:coalesce:*:100ms, 70:queue:*:wheel", f)
+	cmds, err := parseSteer("10:spike:*:4:500ms, 20:kill:ws-0000, 25:policy:*:adaptive, 30:coalesce:*:100ms, 60:restart:ws-0000", f)
 	if err != nil {
 		t.Fatalf("parseSteer: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestParseSteer(t *testing.T) {
 		{Window: 20, Kind: control.KindKill, Host: 0},
 		{Window: 25, Kind: control.KindPolicy, Host: -1, Arg: fleet.PolicyAdaptive},
 		{Window: 30, Kind: control.KindCoalesce, Host: -1, Arg: int64(100 * sim.Millisecond)},
-		{Window: 70, Kind: control.KindQueue, Host: -1, Arg: int64(sim.QueueWheel)},
+		{Window: 60, Kind: control.KindRestart, Host: 0},
 	}
 	for i := range want {
 		if cmds[i] != want[i] {

@@ -78,7 +78,7 @@ type serveBench struct {
 // merged summary is diffed against the offline pipeline over the same
 // traces (concatenated in stream-name order) — the same determinism
 // contract the serve tests and the CI loopback gate pin.
-func runServeBench(queue sim.QueueKind) int {
+func runServeBench() int {
 	producers, readers := *serveProducersFl, *serveReadersFl
 	if producers < 1 || readers < 0 {
 		fmt.Fprintln(os.Stderr, "experiments: -serve-producers must be >=1, -serve-readers >=0")
@@ -110,7 +110,7 @@ func runServeBench(queue sim.QueueKind) int {
 	bufs := make([]*trace.Buffer, producers)
 	names := make([]string, producers)
 	for i := range bufs {
-		cfg := workloads.Config{Seed: *seedFlag + int64(i), Duration: dur, Queue: queue}
+		cfg := workloads.Config{Seed: *seedFlag + int64(i), Duration: dur}
 		res := workloads.RunLinux(workloads.Idle, cfg)
 		recs := res.Trace.Records()
 		for j := range recs {

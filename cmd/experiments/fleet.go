@@ -53,7 +53,7 @@ func fleetPass(top fleet.Topology, end sim.Time, workers int) (fleet.RunStats, u
 }
 
 // runFleet is the -fleet entry point; returns the process exit code.
-func runFleet(queue sim.QueueKind) int {
+func runFleet() int {
 	hosts := *hostsFl
 	if hosts < 1 {
 		fmt.Fprintln(os.Stderr, "experiments: -hosts must be at least 1")
@@ -74,11 +74,10 @@ func runFleet(queue sim.QueueKind) int {
 		Webservers: ws,
 		Desktops:   pc,
 		Seed:       *seedFlag,
-		Queue:      queue,
 	}
 
-	fmt.Printf("fleet: %d hosts (%d webservers, %d desktops), %v virtual, seed %d, %s queue\n",
-		hosts, ws, pc, dur, *seedFlag, queue)
+	fmt.Printf("fleet: %d hosts (%d webservers, %d desktops), %v virtual, seed %d\n",
+		hosts, ws, pc, dur, *seedFlag)
 
 	// -emit streams each host's trace to the live service, teed with the
 	// digest HashSink, on the final pass only (two emitting passes would

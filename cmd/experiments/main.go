@@ -49,7 +49,6 @@ var (
 	quick     = flag.Bool("quick", false, "use 2-minute traces")
 	workersFl = flag.Int("j", 0, "workload worker pool size (0 = GOMAXPROCS)")
 	benchFl   = flag.String("bench", "", "write a machine-readable timing report (JSON) to this file")
-	queueFl   = flag.String("queue", "", "engine event queue: heap (default) or wheel")
 	spillFl   = flag.Bool("spill", false, "stream each trace to a temp file during the run and analyze it from disk (bounded memory)")
 	strictFl  = flag.Bool("strict", false, "exit nonzero if any run dropped trace records")
 	cpuproFl  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -202,14 +201,14 @@ func warnDropped(w io.Writer, set experimentSet) bool {
 // and reduces each to its artifacts inside the worker goroutine. With spill
 // the traces stream to temp files instead of memory; the artifacts are
 // byte-identical (TestSpillMatchesMemory).
-func computeExperiments(seed int64, dur sim.Duration, queue sim.QueueKind, workers int, spill bool, bench *benchReport) (experimentSet, error) {
-	cfg := workloads.Config{Seed: seed, Duration: dur, Queue: queue}
+func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, bench *benchReport) (experimentSet, error) {
+	cfg := workloads.Config{Seed: seed, Duration: dur}
 	specs := workloads.EvaluationSpecs(cfg)
 	desktopIdx := len(specs) - 1
 	relationsIdx := len(specs)
 	specs = append(specs, workloads.Spec{
 		OS: "linux", Name: workloads.Webserver,
-		Cfg: workloads.Config{Seed: seed, Duration: relationsTraceDuration, Queue: queue},
+		Cfg: workloads.Config{Seed: seed, Duration: relationsTraceDuration},
 	})
 
 	set := experimentSet{
@@ -405,25 +404,20 @@ func run() int {
 	if *quick {
 		dur = 2 * sim.Minute
 	}
-	queue, err := sim.ParseQueueKind(*queueFl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 2
-	}
 	if *listFl {
 		return runList()
 	}
 	if *serveBenchFl {
-		return runServeBench(queue)
+		return runServeBench()
 	}
 	if controlMode() {
-		return runControl(queue)
+		return runControl()
 	}
 	if *fleetFl {
-		return runFleet(queue)
+		return runFleet()
 	}
-	cfg := workloads.Config{Seed: *seedFlag, Duration: dur, Queue: queue}
-	fmt.Printf("timerstudy experiments: %v virtual per trace, seed %d, %s event queue\n", dur, *seedFlag, queue)
+	cfg := workloads.Config{Seed: *seedFlag, Duration: dur}
+	fmt.Printf("timerstudy experiments: %v virtual per trace, seed %d\n", dur, *seedFlag)
 
 	if *cpuproFl != "" {
 		f, err := os.Create(*cpuproFl)
@@ -449,11 +443,10 @@ func run() int {
 			Quick:           *quick,
 			Workers:         *workersFl,
 			GOMAXPROCS:      runtime.GOMAXPROCS(0),
-			Queue:           queue.String(),
 		}}
 	}
 
-	set, err := computeExperiments(*seedFlag, dur, queue, *workersFl, *spillFl, bench)
+	set, err := computeExperiments(*seedFlag, dur, *workersFl, *spillFl, bench)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
@@ -537,7 +530,6 @@ type benchConfig struct {
 	Quick           bool   `json:"quick"`
 	Workers         int    `json:"workers"` // 0 = GOMAXPROCS
 	GOMAXPROCS      int    `json:"gomaxprocs"`
-	Queue           string `json:"queue"` // engine event-queue kind
 	// AllocNote flags when per-run alloc columns are upper bounds: the
 	// runtime counters are process-global, so with workers > 1 each run's
 	// delta absorbs its neighbours'. Totals are exact either way.

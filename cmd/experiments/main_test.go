@@ -14,13 +14,12 @@ import (
 // duration-independent (every run owns its engine and seeded rand).
 const goldenDuration = 30 * sim.Second
 
-// TestParallelMatchesSerial is the golden test for both execution axes: the
+// TestParallelMatchesSerial is the golden test for the execution axis: the
 // rendered tables and figures must be byte-identical whether the work runs
-// serially or on a saturated pool, and whether the engine's event queue is
-// the binary heap or the timing wheel.
+// serially or on a saturated pool.
 func TestParallelMatchesSerial(t *testing.T) {
-	render := func(workers int, queue sim.QueueKind) []byte {
-		set, err := computeExperiments(1, goldenDuration, queue, workers, false, nil)
+	render := func(workers int) []byte {
+		set, err := computeExperiments(1, goldenDuration, workers, false, nil)
 		if err != nil {
 			t.Fatalf("computeExperiments: %v", err)
 		}
@@ -29,27 +28,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
-	serial := render(1, sim.QueueHeap)
-	for _, alt := range []struct {
-		name    string
-		workers int
-		queue   sim.QueueKind
-	}{
-		{"parallel", 8, sim.QueueHeap},
-		{"wheel-parallel", 8, sim.QueueWheel},
-	} {
-		got := render(alt.workers, alt.queue)
-		if !bytes.Equal(serial, got) {
-			sl, pl := bytes.Split(serial, []byte("\n")), bytes.Split(got, []byte("\n"))
-			for i := 0; i < len(sl) && i < len(pl); i++ {
-				if !bytes.Equal(sl[i], pl[i]) {
-					t.Fatalf("%s output diverges at line %d:\nserial: %s\n%s: %s",
-						alt.name, i+1, sl[i], alt.name, pl[i])
-				}
+	serial := render(1)
+	got := render(8)
+	if !bytes.Equal(serial, got) {
+		sl, pl := bytes.Split(serial, []byte("\n")), bytes.Split(got, []byte("\n"))
+		for i := 0; i < len(sl) && i < len(pl); i++ {
+			if !bytes.Equal(sl[i], pl[i]) {
+				t.Fatalf("parallel output diverges at line %d:\nserial: %s\nparallel: %s", i+1, sl[i], pl[i])
 			}
-			t.Fatalf("%s output lengths differ: serial %d lines, %s %d lines",
-				alt.name, len(sl), alt.name, len(pl))
 		}
+		t.Fatalf("parallel output lengths differ: serial %d lines, parallel %d lines", len(sl), len(pl))
 	}
 }
 
@@ -57,7 +45,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // evaluation trace plus per-section timings, with sane totals.
 func TestBenchReportShape(t *testing.T) {
 	bench := &benchReport{}
-	set, err := computeExperiments(1, goldenDuration, sim.QueueHeap, 2, false, bench)
+	set, err := computeExperiments(1, goldenDuration, 2, false, bench)
 	if err != nil {
 		t.Fatalf("computeExperiments: %v", err)
 	}
@@ -97,7 +85,7 @@ func TestBenchReportShape(t *testing.T) {
 // and replayed from disk.
 func TestSpillMatchesMemory(t *testing.T) {
 	render := func(spill bool) []byte {
-		set, err := computeExperiments(1, goldenDuration, sim.QueueHeap, 4, spill, nil)
+		set, err := computeExperiments(1, goldenDuration, 4, spill, nil)
 		if err != nil {
 			t.Fatalf("computeExperiments(spill=%v): %v", spill, err)
 		}

@@ -37,12 +37,6 @@ const (
 	// KindCoalesce sets a host's periodic-timer coalescing window to Arg
 	// nanoseconds (fleet.DirCoalesce).
 	KindCoalesce
-	// KindQueue stages an engine event-queue swap to Arg
-	// (sim.QueueKind). It cannot rebuild live engines, so it takes
-	// effect at the next checkpoint/resume boundary — and because traces
-	// are byte-identical across queue kinds, the swap never changes
-	// digests, only the queue implementation the resumed run executes on.
-	KindQueue
 
 	kindEnd // one past the last valid kind
 )
@@ -60,8 +54,6 @@ func (k Kind) String() string {
 		return "policy"
 	case KindCoalesce:
 		return "coalesce"
-	case KindQueue:
-		return "queue"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

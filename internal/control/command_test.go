@@ -3,7 +3,6 @@ package control
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -17,7 +16,6 @@ func sampleLog() []Command {
 		{Seq: 3, Window: 25, Kind: KindPolicy, Host: -1, Arg: int64(1)},
 		{Seq: 4, Window: 30, Kind: KindCoalesce, Host: 3, Arg: int64(100 * sim.Millisecond)},
 		{Seq: 5, Window: 60, Kind: KindRestart, Host: 0},
-		{Seq: 6, Window: 70, Kind: KindQueue, Host: -1, Arg: 1},
 	}
 }
 
@@ -109,8 +107,5 @@ func TestKindStringParse(t *testing.T) {
 	}
 	if s := Kind(200).String(); !strings.Contains(s, "200") {
 		t.Fatalf("unknown kind string: %q", s)
-	}
-	if !reflect.DeepEqual(KindQueue.String(), "queue") {
-		t.Fatalf("KindQueue = %q", KindQueue.String())
 	}
 }

@@ -17,7 +17,6 @@ type Spec struct {
 	Webservers int          `json:"webservers"`
 	Desktops   int          `json:"desktops"`
 	Seed       int64        `json:"seed"`
-	Queue      string       `json:"queue"` // "heap" or "wheel"; "" = heap
 	Threads    int          `json:"threads,omitempty"`
 	ThinkMean  sim.Duration `json:"think_mean,omitempty"`
 	ServiceMean sim.Duration `json:"service_mean,omitempty"`
@@ -37,15 +36,10 @@ func (s Spec) topology(newSink func(string) trace.Sink) (fleet.Topology, error) 
 	if s.End <= 0 {
 		return fleet.Topology{}, fmt.Errorf("control: spec needs a positive end time")
 	}
-	qk, err := sim.ParseQueueKind(s.Queue)
-	if err != nil {
-		return fleet.Topology{}, err
-	}
 	top := fleet.Topology{
 		Webservers:  s.Webservers,
 		Desktops:    s.Desktops,
 		Seed:        s.Seed,
-		Queue:       qk,
 		Threads:     s.Threads,
 		ThinkMean:   s.ThinkMean,
 		ServiceMean: s.ServiceMean,
@@ -76,7 +70,7 @@ type Patch struct {
 	// Applied reports whether any host accepted the command (a kill of an
 	// already-down host, for example, is drained but not applied).
 	Applied bool `json:"applied"`
-	// Detail carries kind-specific notes ("staged until resume").
+	// Detail says why a drained command was not applied ("already down").
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -92,7 +86,6 @@ type Snapshot struct {
 	LogLen     int          `json:"log_len"`
 	Dropped    uint64       `json:"patches_dropped"`
 	Digest     uint64       `json:"digest"`
-	Queue      string       `json:"queue"`
 	End        sim.Duration `json:"end"`
 }
 
@@ -169,39 +162,8 @@ func (p *Plane) Enqueue(c Command) (bool, string) {
 	if p.done {
 		return false, "run complete"
 	}
-	if c.Kind < KindSpike || c.Kind >= kindEnd {
-		return false, fmt.Sprintf("unknown command kind %d", c.Kind)
-	}
-	if c.Host < -1 || int(c.Host) >= len(p.fleet.Hosts()) {
-		return false, fmt.Sprintf("host index %d out of range (fleet has %d)", c.Host, len(p.fleet.Hosts()))
-	}
-	switch c.Kind {
-	case KindSpike:
-		if c.Arg < 1 {
-			return false, "spike factor must be >= 1"
-		}
-		if c.Dur <= 0 {
-			return false, "spike needs a positive duration"
-		}
-	case KindKill, KindRestart:
-		if c.Host < 0 {
-			return false, c.Kind.String() + " needs a specific host"
-		}
-	case KindPolicy:
-		if c.Arg != int64(fleet.PolicyFixed) && c.Arg != int64(fleet.PolicyAdaptive) {
-			return false, fmt.Sprintf("unknown timeout policy %d", c.Arg)
-		}
-	case KindCoalesce:
-		if c.Arg < 0 {
-			return false, "coalescing window must be >= 0"
-		}
-	case KindQueue:
-		if c.Host != -1 {
-			return false, "queue swap is fleet-wide (host must be -1)"
-		}
-		if _, err := sim.ParseQueueKind(sim.QueueKind(c.Arg).String()); err != nil || c.Arg < 0 {
-			return false, fmt.Sprintf("unknown queue kind %d", c.Arg)
-		}
+	if reason := p.invalid(c); reason != "" {
+		return false, reason
 	}
 	if len(p.queue) >= p.maxQueue {
 		return false, fmt.Sprintf("command queue full (%d pending)", len(p.queue))
@@ -216,6 +178,40 @@ func (p *Plane) Enqueue(c Command) (bool, string) {
 	c.Seq = p.seq
 	p.queue = append(p.queue, c)
 	return true, ""
+}
+
+// invalid returns why c cannot be applied to this plane's fleet, or "" if
+// it can. Enqueue and Replay both check with it, so apply never sees an
+// unknown kind or an out-of-range host.
+func (p *Plane) invalid(c Command) string {
+	if c.Kind < KindSpike || c.Kind >= kindEnd {
+		return fmt.Sprintf("unknown command kind %d", c.Kind)
+	}
+	if c.Host < -1 || int(c.Host) >= len(p.fleet.Hosts()) {
+		return fmt.Sprintf("host index %d out of range (fleet has %d)", c.Host, len(p.fleet.Hosts()))
+	}
+	switch c.Kind {
+	case KindSpike:
+		if c.Arg < 1 {
+			return "spike factor must be >= 1"
+		}
+		if c.Dur <= 0 {
+			return "spike needs a positive duration"
+		}
+	case KindKill, KindRestart:
+		if c.Host < 0 {
+			return c.Kind.String() + " needs a specific host"
+		}
+	case KindPolicy:
+		if c.Arg != int64(fleet.PolicyFixed) && c.Arg != int64(fleet.PolicyAdaptive) {
+			return fmt.Sprintf("unknown timeout policy %d", c.Arg)
+		}
+	case KindCoalesce:
+		if c.Arg < 0 {
+			return "coalescing window must be >= 0"
+		}
+	}
+	return ""
 }
 
 // Pending returns a copy of the staged, not-yet-applied commands.
@@ -284,14 +280,6 @@ func (p *Plane) apply(c Command) {
 		} else {
 			detail = "not down"
 		}
-	case KindQueue:
-		// Engines cannot swap queues live; stage the swap in the spec so
-		// the next checkpoint/resume rebuilds on the new kind. Traces are
-		// byte-identical across queue kinds, so the swap never perturbs
-		// digests — it only changes which implementation executes.
-		p.spec.Queue = sim.QueueKind(c.Arg).String()
-		applied = true
-		detail = "staged until resume"
 	default:
 		d, ok := directive(c)
 		if ok && c.Host >= 0 {
@@ -362,7 +350,6 @@ func (p *Plane) Snapshot() Snapshot {
 		LogLen:     len(p.log),
 		Dropped:    p.dropped,
 		Digest:     p.fleet.Digest(),
-		Queue:      p.spec.Queue,
 		End:        p.spec.End,
 	}
 }
@@ -388,7 +375,7 @@ func (p *Plane) Done() bool { return p.done }
 // Fleet exposes the underlying fleet (digests, counters, hosts).
 func (p *Plane) Fleet() *fleet.Fleet { return p.fleet }
 
-// Spec returns the plane's current spec (including staged queue swaps).
+// Spec returns the plane's spec.
 func (p *Plane) Spec() Spec { return p.spec }
 
 // Finish drains any remaining windows and closes the run, returning the

@@ -46,7 +46,6 @@ func TestNewPlaneRejectsBadSpec(t *testing.T) {
 		{Webservers: 0, Desktops: 0, End: sim.Duration(sim.Second)},
 		{Webservers: -1, Desktops: 2, End: sim.Duration(sim.Second)},
 		{Webservers: 1, Desktops: 1, End: 0},
-		{Webservers: 1, Desktops: 1, End: sim.Duration(sim.Second), Queue: "splay-tree"},
 	}
 	for i, s := range cases {
 		if _, err := NewPlane(s); err == nil {
@@ -56,7 +55,9 @@ func TestNewPlaneRejectsBadSpec(t *testing.T) {
 }
 
 // TestEnqueueValidation: the façade contract — malformed commands are
-// rejected immediately with a reason; well-formed ones are stamped.
+// rejected immediately with a reason; well-formed ones are stamped. A
+// recorded log holding any of the same commands fails Replay with that
+// reason instead of reaching apply.
 func TestEnqueueValidation(t *testing.T) {
 	p := mustPlane(t, testSpec())
 	defer p.Abort()
@@ -66,7 +67,10 @@ func TestEnqueueValidation(t *testing.T) {
 	}{
 		{Command{Kind: 0}, "unknown command kind"},
 		{Command{Kind: kindEnd}, "unknown command kind"},
+		{Command{Kind: 6}, "unknown command kind"}, // the retired queue-swap kind
+		{Command{Kind: 200, Host: -1}, "unknown command kind"},
 		{Command{Kind: KindKill, Host: 99}, "out of range"},
+		{Command{Kind: KindKill, Host: 9999}, "out of range"},
 		{Command{Kind: KindKill, Host: -2}, "out of range"},
 		{Command{Kind: KindKill, Host: -1}, "needs a specific host"},
 		{Command{Kind: KindRestart, Host: -1}, "needs a specific host"},
@@ -74,8 +78,6 @@ func TestEnqueueValidation(t *testing.T) {
 		{Command{Kind: KindSpike, Host: -1, Arg: 2, Dur: 0}, "positive duration"},
 		{Command{Kind: KindPolicy, Host: -1, Arg: 7}, "unknown timeout policy"},
 		{Command{Kind: KindCoalesce, Host: -1, Arg: -1}, "must be >= 0"},
-		{Command{Kind: KindQueue, Host: 0, Arg: 1}, "fleet-wide"},
-		{Command{Kind: KindQueue, Host: -1, Arg: 42}, "unknown queue kind"},
 	}
 	for i, tc := range bad {
 		ok, reason := p.Enqueue(tc.c)
@@ -84,6 +86,16 @@ func TestEnqueueValidation(t *testing.T) {
 		}
 		if !strings.Contains(reason, tc.reason) {
 			t.Fatalf("case %d: reason %q does not mention %q", i, reason, tc.reason)
+		}
+		c := tc.c
+		c.Seq, c.Window = 2, 3
+		rp, err := Replay(testSpec(), []Command{{Seq: 1, Window: 1, Kind: KindCoalesce, Host: -1, Arg: 1}, c})
+		if err == nil {
+			rp.Finish() // an unchecked command reaches apply here
+			t.Fatalf("case %d: replay accepted %+v", i, tc.c)
+		}
+		if !strings.Contains(err.Error(), tc.reason) || !strings.Contains(err.Error(), "command 1") {
+			t.Fatalf("case %d: replay error %q does not name command 1 and %q", i, err, tc.reason)
 		}
 	}
 	if n := len(p.Pending()); n != 0 {
@@ -151,9 +163,8 @@ func script(t *testing.T, p *Plane) {
 	}
 }
 
-// TestReplayDeterminism is satellite 3: the same (spec, command log)
-// reproduces the interactive run bit for bit at any worker count and on
-// either event-queue implementation.
+// TestReplayDeterminism: the same (spec, command log) reproduces the
+// interactive run bit for bit at any worker count.
 func TestReplayDeterminism(t *testing.T) {
 	p := mustPlane(t, testSpec(), WithWorkers(1))
 	script(t, p)
@@ -164,26 +175,22 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatalf("script only applied %d of 5 commands", len(log))
 	}
 
-	for _, queue := range []string{"heap", "wheel"} {
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			spec := testSpec()
-			spec.Queue = queue
-			rp, err := Replay(spec, log, WithWorkers(workers))
-			if err != nil {
-				t.Fatalf("%s/%d: %v", queue, workers, err)
-			}
-			rp.Finish()
-			if got := rp.Fleet().Digest(); got != want {
-				t.Fatalf("%s/%d: replay digest %016x != interactive %016x", queue, workers, got, want)
-			}
-			rlog := rp.CommandLog()
-			if len(rlog) != len(log) {
-				t.Fatalf("%s/%d: replay applied %d commands, want %d", queue, workers, len(rlog), len(log))
-			}
-			for i := range log {
-				if rlog[i] != log[i] {
-					t.Fatalf("%s/%d: replay log diverged at %d: %+v != %+v", queue, workers, i, rlog[i], log[i])
-				}
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		rp, err := Replay(testSpec(), log, WithWorkers(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rp.Finish()
+		if got := rp.Fleet().Digest(); got != want {
+			t.Fatalf("workers=%d: replay digest %016x != interactive %016x", workers, got, want)
+		}
+		rlog := rp.CommandLog()
+		if len(rlog) != len(log) {
+			t.Fatalf("workers=%d: replay applied %d commands, want %d", workers, len(rlog), len(log))
+		}
+		for i := range log {
+			if rlog[i] != log[i] {
+				t.Fatalf("workers=%d: replay log diverged at %d: %+v != %+v", workers, i, rlog[i], log[i])
 			}
 		}
 	}
@@ -216,14 +223,13 @@ func TestPatchesAndSnapshot(t *testing.T) {
 	enq(Command{Kind: KindKill, Host: ws})
 	enq(Command{Kind: KindKill, Host: ws})     // second kill: drained, not applied
 	enq(Command{Kind: KindRestart, Host: ws + 1}) // not down
-	enq(Command{Kind: KindQueue, Host: -1, Arg: int64(sim.QueueWheel)})
 	if !p.Advance() {
 		t.Fatal("run ended on first window")
 	}
 
 	patches := p.DrainPatches()
-	if len(patches) != 4 {
-		t.Fatalf("patch count %d, want 4: %+v", len(patches), patches)
+	if len(patches) != 3 {
+		t.Fatalf("patch count %d, want 3: %+v", len(patches), patches)
 	}
 	if !patches[0].Applied || patches[0].Kind != "kill" || patches[0].Host != "ws-0000" {
 		t.Fatalf("kill patch: %+v", patches[0])
@@ -234,9 +240,6 @@ func TestPatchesAndSnapshot(t *testing.T) {
 	if patches[2].Applied || patches[2].Detail != "not down" {
 		t.Fatalf("restart-up patch: %+v", patches[2])
 	}
-	if !patches[3].Applied || patches[3].Detail != "staged until resume" || patches[3].Host != "*" {
-		t.Fatalf("queue patch: %+v", patches[3])
-	}
 	if len(p.DrainPatches()) != 0 {
 		t.Fatal("drain did not empty the feed")
 	}
@@ -245,10 +248,7 @@ func TestPatchesAndSnapshot(t *testing.T) {
 	if s1.HostsDown != 1 {
 		t.Fatalf("snapshot misses the down host: %+v", s1)
 	}
-	if s1.Queue != "wheel" {
-		t.Fatalf("staged queue swap not visible in snapshot: %+v", s1)
-	}
-	if s1.LogLen != 4 || s1.QueueDepth != 0 {
+	if s1.LogLen != 3 || s1.QueueDepth != 0 {
 		t.Fatalf("snapshot log/queue: %+v", s1)
 	}
 	if s1.Window == 0 || s1.Floor <= 0 {

@@ -46,18 +46,24 @@ func (p *Plane) Checkpoint(label string) *trace.Checkpoint {
 // Replay builds a plane that will re-apply a recorded command log at the
 // original boundaries: the log is preloaded as the pending queue with its
 // stamps intact, so advancing the plane reproduces the recorded run bit
-// for bit. Commands enqueued afterwards continue the Seq sequence.
+// for bit. Commands enqueued afterwards continue the Seq sequence. The log
+// comes from a file, so every command passes Enqueue's checks first; the
+// first one that fails is returned as an error.
 func Replay(spec Spec, log []Command, opts ...Option) (*Plane, error) {
 	p, err := NewPlane(spec, opts...)
 	if err != nil {
 		return nil, err
 	}
-	p.queue = append(p.queue, log...)
-	for _, c := range log {
+	for i, c := range log {
+		if reason := p.invalid(c); reason != "" {
+			p.Abort()
+			return nil, fmt.Errorf("control: replay command %d (seq %d, %s): %s", i, c.Seq, c.Kind, reason)
+		}
 		if c.Seq > p.seq {
 			p.seq = c.Seq
 		}
 	}
+	p.queue = append(p.queue, log...)
 	return p, nil
 }
 

@@ -127,36 +127,6 @@ func TestResumeContinuesSteering(t *testing.T) {
 	}
 }
 
-// TestQueueSwapAcrossResume: a KindQueue command stages the swap; resume
-// rebuilds on the new implementation; the digest does not move (traces are
-// byte-identical across queue kinds — the pinned PR-3 invariant).
-func TestQueueSwapAcrossResume(t *testing.T) {
-	p := mustPlane(t, testSpec())
-	script(t, p)
-	if ok, reason := p.Enqueue(Command{Kind: KindQueue, Host: -1, Arg: int64(sim.QueueWheel), Window: 35}); !ok {
-		t.Fatalf("queue swap rejected: %s", reason)
-	}
-	runToWindow(t, p, 40)
-	if got := p.Spec().Queue; got != "wheel" {
-		t.Fatalf("swap not staged: spec queue %q", got)
-	}
-	cp := p.Checkpoint("swap")
-	p.Finish()
-	want := p.Fleet().Digest()
-
-	r, err := Resume(cp)
-	if err != nil {
-		t.Fatalf("resume on wheel: %v", err)
-	}
-	if got := r.Spec().Queue; got != "wheel" {
-		t.Fatalf("resumed spec queue %q, want wheel", got)
-	}
-	r.Finish()
-	if got := r.Fleet().Digest(); got != want {
-		t.Fatalf("queue swap moved the digest: %016x != %016x", got, want)
-	}
-}
-
 // TestResumeVerificationFailure: a tampered keyframe is caught, and the
 // error names the divergent host and field group.
 func TestResumeVerificationFailure(t *testing.T) {
@@ -174,6 +144,9 @@ func TestResumeVerificationFailure(t *testing.T) {
 		{"host count", func(cp *trace.Checkpoint) { cp.Hosts = cp.Hosts[:7] }, "8"},
 		{"vtime", func(cp *trace.Checkpoint) { cp.VTime++ }, "vtime"},
 		{"seed", func(cp *trace.Checkpoint) { cp.Seed++ }, "seed"},
+		{"hostile command", func(cp *trace.Checkpoint) {
+			cp.Commands = EncodeCommands([]Command{{Seq: 1, Window: 1, Kind: KindKill, Host: -1}})
+		}, "needs a specific host"},
 	}
 	for _, tc := range tamper {
 		cp, _ := checkpointAt(t, 40)

@@ -59,7 +59,7 @@ func New(fabric *netsim.Fabric) *Fleet {
 // personality and sink, then boots the model. Hosts must be added in the
 // same order on every run — the index is part of the deterministic message
 // order. The name must be registered on the fabric.
-func (f *Fleet) AddHost(name string, seed int64, queue sim.QueueKind, sink trace.Sink, model Model) *Host {
+func (f *Fleet) AddHost(name string, seed int64, sink trace.Sink, model Model) *Host {
 	if _, dup := f.byName[name]; dup {
 		panic("fleet: duplicate host " + name)
 	}
@@ -67,7 +67,7 @@ func (f *Fleet) AddHost(name string, seed int64, queue sim.QueueKind, sink trace
 	if label == "" {
 		panic("fleet: host " + name + " not registered on the fabric")
 	}
-	eng := sim.NewEngine(seed, sim.WithEventQueue(queue))
+	eng := sim.NewEngine(seed)
 	kern := kernel.NewLinux(eng, sink)
 	h := &Host{
 		Index:     len(f.hosts),

@@ -153,24 +153,6 @@ func TestFleetSingleHostUnbounded(t *testing.T) {
 	}
 }
 
-// TestFleetQueueKindsAgree: heap- and wheel-queued fleets produce identical
-// digests, extending the single-engine queue-kind golden to the fleet.
-func TestFleetQueueKindsAgree(t *testing.T) {
-	const end = sim.Time(sim.Second)
-	digests := map[sim.QueueKind]uint64{}
-	for _, q := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-		top := testTopology()
-		top.NewSink = nil
-		top.Queue = q
-		f := top.Build()
-		f.Run(end, 2)
-		digests[q] = f.Digest()
-	}
-	if digests[sim.QueueHeap] != digests[sim.QueueWheel] {
-		t.Fatalf("queue kinds diverge: %x vs %x", digests[sim.QueueHeap], digests[sim.QueueWheel])
-	}
-}
-
 func ExampleTopology() {
 	f := Topology{Webservers: 1, Desktops: 3, Seed: 1}.Build()
 	stats := f.Run(sim.Time(200*sim.Millisecond), 2)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"timerstudy/internal/jiffies"
 	"timerstudy/internal/kernel"
+	"timerstudy/internal/netsim"
 	"timerstudy/internal/sim"
 )
 
@@ -98,8 +99,7 @@ type desktopModel struct {
 	spikeDiv   int64    // think-time divisor while spiking (>1 = spike on)
 	spikeUntil sim.Time // spike expiry in virtual time
 	adaptive   bool     // request-timeout policy (PolicyAdaptive)
-	srtt       sim.Duration
-	rttvar     sim.Duration
+	est        netsim.RTOEstimator
 }
 
 func newDesktopModel(webservers, threads int, thinkMean sim.Duration) *desktopModel {
@@ -204,12 +204,14 @@ func (d *desktopModel) OnMessage(h *Host, m Message) {
 // requestTimeout picks the per-request select deadline under the active
 // policy. PolicyFixed (and a cold estimator) arms the paper's full 30 s;
 // PolicyAdaptive arms the RFC 6298 RTO, srtt + 4·rttvar, clamped to
-// [adaptiveTimeoutMin, clientRequestTimeout].
+// [adaptiveTimeoutMin, clientRequestTimeout]. That range lies inside
+// netsim's own [MinRTO, MaxRTO] clamp, so the estimator's clamp never
+// decides the result.
 func (d *desktopModel) requestTimeout() sim.Duration {
-	if !d.adaptive || d.srtt == 0 {
+	if !d.adaptive || d.est.SRTT() == 0 {
 		return clientRequestTimeout
 	}
-	rto := d.srtt + 4*d.rttvar
+	rto := d.est.RTO()
 	if rto < adaptiveTimeoutMin {
 		rto = adaptiveTimeoutMin
 	}
@@ -226,17 +228,7 @@ func (d *desktopModel) observeRTT(rtt sim.Duration) {
 	if !d.adaptive || rtt <= 0 {
 		return
 	}
-	if d.srtt == 0 {
-		d.srtt = rtt
-		d.rttvar = rtt / 2
-		return
-	}
-	diff := d.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	d.rttvar += (diff - d.rttvar) / 4
-	d.srtt += (rtt - d.srtt) / 8
+	d.est.Observe(rtt)
 }
 
 // Steer implements Steerable: desktops accept load spikes and timeout-
@@ -258,7 +250,7 @@ func (d *desktopModel) Steer(h *Host, dir Directive) bool {
 			// Cold-start the estimator: samples only accumulate while
 			// adaptive, so a re-enable starts fresh.
 			d.adaptive = true
-			d.srtt, d.rttvar = 0, 0
+			d.est = netsim.RTOEstimator{}
 		default:
 			return false
 		}

@@ -19,8 +19,6 @@ type Topology struct {
 	// Seed drives all randomness; each host derives an independent stream
 	// from it (splitmix64 over the host index).
 	Seed int64
-	// Queue selects every host engine's event-queue implementation.
-	Queue sim.QueueKind
 	// Link, when non-nil, overrides the fabric's default path (latency /
 	// jitter / loss) for every host pair. The fleet's lookahead is the
 	// link's base latency.
@@ -100,7 +98,7 @@ func (t Topology) Build() *Fleet {
 		} else {
 			m = newDesktopModel(t.Webservers, threads, think)
 		}
-		f.AddHost(n, HostSeed(t.Seed, i), t.Queue, newSink(n), m)
+		f.AddHost(n, HostSeed(t.Seed, i), newSink(n), m)
 	}
 	return f
 }

@@ -21,7 +21,7 @@ const allocFreeMarker = "//lint:allocfree"
 
 // AllocFree checks functions annotated //lint:allocfree against the
 // compiler's own escape analysis. The repo's zero-allocation invariant
-// (PR 3: pooled events, the timer wheel, the v2 record encoder) is enforced
+// (pooled events, the v2 record encoder) is enforced
 // dynamically by testing.AllocsPerRun guards, but those fail as an opaque
 // count after the regression lands. This analyzer runs
 // `go build -gcflags=-m=2` on each annotated package — the build cache

@@ -29,12 +29,12 @@ import (
 // CommandRequest is the POST /api/command body.
 type CommandRequest struct {
 	// Kind is the command name (control.Kind.String(): "spike", "kill",
-	// "restart", "policy", "coalesce", "queue").
+	// "restart", "policy", "coalesce").
 	Kind string `json:"kind"`
 	// Host is the target host name, or "*" for fleet-wide.
 	Host string `json:"host"`
 	// Arg is the kind-specific operand (spike factor, policy id,
-	// coalescing window in nanoseconds, queue kind).
+	// coalescing window in nanoseconds).
 	Arg int64 `json:"arg"`
 	// DurMS bounds the effect in virtual milliseconds, for kinds that
 	// expire.

@@ -20,11 +20,8 @@ type event struct {
 
 	// index is the node's position in the heap queue.
 	index int
-	// next/prev link the node into a wheel bucket while queued there, and
-	// next alone threads the freelist.
-	next, prev *event
-	// bucket is the wheel bucket currently holding the node.
-	bucket *wheelBucket
+	// next threads the freelist.
+	next *event
 }
 
 // Event is a handle to a scheduled callback, returned by At/After. It is a
@@ -60,30 +57,6 @@ func (e Event) Name() string {
 	return ""
 }
 
-// eventQueue is the priority queue behind the engine: a total order over
-// pending events by (when, seq). Both implementations — the index-based
-// binary heap and the hierarchical timer wheel — dequeue in exactly this
-// order, which is what keeps traces byte-identical across queue choices.
-type eventQueue interface {
-	// push inserts a node (not currently queued).
-	push(n *event)
-	// peek returns the minimum (when, seq) node without removing it, or nil.
-	peek() *event
-	// pop removes and returns the minimum node.
-	pop() *event
-	// remove unlinks an arbitrary queued node.
-	remove(n *event)
-	// update re-positions a queued node after its when/seq changed.
-	update(n *event)
-	// forEach visits every queued node in unspecified order (cold-path
-	// state export; callers sort).
-	forEach(fn func(*event))
-	// len returns the number of queued nodes.
-	len() int
-	// name identifies the implementation for benchmarks.
-	name() string
-}
-
 // eventLess is the queue order: earliest instant first, FIFO by seq within
 // one instant.
 func eventLess(a, b *event) bool {
@@ -91,55 +64,6 @@ func eventLess(a, b *event) bool {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
-}
-
-// QueueKind selects the engine's event-queue implementation.
-type QueueKind uint8
-
-const (
-	// QueueHeap is the default: an index-based binary min-heap specialized
-	// to event nodes (no interface boxing, O(log n) operations).
-	QueueHeap QueueKind = iota
-	// QueueWheel is a hierarchical timing wheel over ~1 ms ticks (the
-	// cascading tv1..tv5 layout of internal/timerwheel, adapted to
-	// nanosecond instants): O(1) amortized scheduling, the structure the
-	// paper's Section 2.1 kernels use for exactly this workload.
-	QueueWheel
-)
-
-// String returns the queue kind's short name.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueHeap:
-		return "heap"
-	case QueueWheel:
-		return "wheel"
-	default:
-		return fmt.Sprintf("queue(%d)", uint8(k))
-	}
-}
-
-// ParseQueueKind resolves a queue name ("heap", "wheel"; "" means the
-// default heap).
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "", "heap":
-		return QueueHeap, nil
-	case "wheel":
-		return QueueWheel, nil
-	default:
-		return QueueHeap, fmt.Errorf("sim: unknown event queue %q", s)
-	}
-}
-
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithEventQueue selects the event-queue implementation. The choice changes
-// constant factors only: dequeue order, and therefore every trace, is
-// identical across kinds.
-func WithEventQueue(k QueueKind) Option {
-	return func(e *Engine) { e.queueKind = k }
 }
 
 // Stats accumulates engine-level accounting used by the power/overhead
@@ -166,39 +90,25 @@ type Stats struct {
 // concurrent use: simulations are single-threaded by design so that a seed
 // fully determines the trace.
 type Engine struct {
-	now       Time
-	queue     eventQueue
-	queueKind QueueKind
-	free      *event // freelist of released nodes, threaded via next
-	seq       uint64
-	rng       *rand.Rand
-	src       *countingSource
-	stats     Stats
-	lastWake  Time
-	hasWoken  bool
-	running   bool
-	stopped   bool
+	now      Time
+	queue    heapQueue
+	free     *event // freelist of released nodes, threaded via next
+	seq      uint64
+	rng      *rand.Rand
+	src      *countingSource
+	stats    Stats
+	lastWake Time
+	hasWoken bool
+	running  bool
+	stopped  bool
 }
 
 // NewEngine returns an engine at time zero whose randomness derives entirely
 // from seed.
-func NewEngine(seed int64, opts ...Option) *Engine {
+func NewEngine(seed int64) *Engine {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	e := &Engine{rng: rand.New(src), src: src}
-	for _, o := range opts {
-		o(e)
-	}
-	switch e.queueKind {
-	case QueueWheel:
-		e.queue = newWheelQueue()
-	default:
-		e.queue = &heapQueue{}
-	}
-	return e
+	return &Engine{rng: rand.New(src), src: src}
 }
-
-// QueueName identifies the event-queue implementation in use.
-func (e *Engine) QueueName() string { return e.queue.name() }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -236,8 +146,6 @@ func (e *Engine) release(n *event) {
 	n.fn = nil
 	n.name = ""
 	n.pending = false
-	n.prev = nil
-	n.bucket = nil
 	n.next = e.free
 	e.free = n
 }

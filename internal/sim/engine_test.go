@@ -143,29 +143,26 @@ func TestEngineReschedule(t *testing.T) {
 // TestEngineRescheduleFIFO pins the documented seq semantics: a rescheduled
 // event restarts its FIFO tie-break, running after every event already
 // scheduled at its new instant — exactly as if it had been canceled and
-// re-added. This ordering is part of the golden-trace contract, so it must
-// hold identically on both queue implementations.
+// re-added. This ordering is part of the golden-trace contract.
 func TestEngineRescheduleFIFO(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(1, WithEventQueue(kind))
-		var order []string
-		ev := e.At(Time(Second), "moved", func() { order = append(order, "moved") })
-		e.At(Time(2*Second), "a", func() { order = append(order, "a") })
-		e.At(Time(2*Second), "b", func() { order = append(order, "b") })
-		// Moving "moved" to 2s must place it after a and b, despite its
-		// earlier original instant and smaller original seq.
-		e.Reschedule(ev, Time(2*Second))
-		// A later event at the same instant still runs after the move.
-		e.At(Time(2*Second), "c", func() { order = append(order, "c") })
-		e.RunAll()
-		want := [...]string{"a", "b", "moved", "c"}
-		if len(order) != len(want) {
-			t.Fatalf("%v: order = %v", kind, order)
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("%v: order = %v, want %v", kind, order, want)
-			}
+	e := NewEngine(1)
+	var order []string
+	ev := e.At(Time(Second), "moved", func() { order = append(order, "moved") })
+	e.At(Time(2*Second), "a", func() { order = append(order, "a") })
+	e.At(Time(2*Second), "b", func() { order = append(order, "b") })
+	// Moving "moved" to 2s must place it after a and b, despite its
+	// earlier original instant and smaller original seq.
+	e.Reschedule(ev, Time(2*Second))
+	// A later event at the same instant still runs after the move.
+	e.At(Time(2*Second), "c", func() { order = append(order, "c") })
+	e.RunAll()
+	want := [...]string{"a", "b", "moved", "c"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 }
@@ -173,19 +170,17 @@ func TestEngineRescheduleFIFO(t *testing.T) {
 // TestEngineRescheduleEarlier covers the queue-update direction ktimer's
 // retick exercises: pulling a pending event to an earlier instant.
 func TestEngineRescheduleEarlier(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(1, WithEventQueue(kind))
-		var order []string
-		ev := e.At(Time(10*Second), "moved", func() { order = append(order, "moved") })
-		e.At(Time(5*Second), "mid", func() { order = append(order, "mid") })
-		e.Reschedule(ev, Time(2*Second))
-		e.RunAll()
-		if len(order) != 2 || order[0] != "moved" || order[1] != "mid" {
-			t.Fatalf("%v: order = %v", kind, order)
-		}
-		if e.Now() != Time(5*Second) {
-			t.Fatalf("%v: now = %v", kind, e.Now())
-		}
+	e := NewEngine(1)
+	var order []string
+	ev := e.At(Time(10*Second), "moved", func() { order = append(order, "moved") })
+	e.At(Time(5*Second), "mid", func() { order = append(order, "mid") })
+	e.Reschedule(ev, Time(2*Second))
+	e.RunAll()
+	if len(order) != 2 || order[0] != "moved" || order[1] != "mid" {
+		t.Fatalf("order = %v", order)
+	}
+	if e.Now() != Time(5*Second) {
+		t.Fatalf("now = %v", e.Now())
 	}
 }
 

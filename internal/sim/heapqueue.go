@@ -1,15 +1,16 @@
 package sim
 
-// heapQueue is an index-based binary min-heap specialized to event nodes.
-// It replaces container/heap: no interface dispatch on the comparison, no
-// `any` boxing on push/pop, and node removal is O(log n) via the index each
-// node carries. The backing slice is retained across pops, so steady-state
+// heapQueue is the engine's event queue: an index-based binary min-heap
+// over pending event nodes, ordered by eventLess. Dequeue order is the
+// total (when, seq) order, so events at one instant fire FIFO in
+// scheduling order; every trace depends on that. It replaces
+// container/heap: no interface dispatch on the comparison, no `any` boxing
+// on push/pop, and node removal is O(log n) via the index each node
+// carries. The backing slice is retained across pops, so steady-state
 // operation never allocates.
 type heapQueue struct {
 	items []*event
 }
-
-func (h *heapQueue) name() string { return "heap" }
 
 func (h *heapQueue) len() int { return len(h.items) }
 
@@ -54,12 +55,6 @@ func (h *heapQueue) remove(n *event) {
 		h.up(i)
 	}
 	n.index = -1
-}
-
-func (h *heapQueue) forEach(fn func(*event)) {
-	for _, n := range h.items {
-		fn(n)
-	}
 }
 
 func (h *heapQueue) update(n *event) {

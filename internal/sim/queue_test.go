@@ -2,98 +2,163 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestEventQueueCrossCheck drives a heap-backed and a wheel-backed engine
-// through the same deterministic stream of 10k mixed At/Cancel/Reschedule
-// operations and requires identical firing schedules — the (when, seq)
-// total order that makes traces byte-identical across queue kinds.
+// refEvent is one pending event in the sorted-slice reference queue.
+type refEvent struct {
+	when  Time
+	label int
+}
+
+// refQueue is the test oracle for the engine's event queue: a slice kept
+// sorted by when, with each instant's events in scheduling order. Sequence
+// numbers only grow, so that is the engine's (when, seq) order.
+type refQueue struct {
+	items []refEvent
+}
+
+// schedule inserts label's event after every queued event at or before
+// when; rescheduling is remove plus schedule.
+func (q *refQueue) schedule(when Time, label int) {
+	i := sort.Search(len(q.items), func(i int) bool { return q.items[i].when > when })
+	q.items = append(q.items, refEvent{})
+	copy(q.items[i+1:], q.items[i:])
+	q.items[i] = refEvent{when: when, label: label}
+}
+
+// remove unlinks label's event and reports whether it was pending.
+func (q *refQueue) remove(label int) bool {
+	for i, it := range q.items {
+		if it.label == label {
+			q.items = append(q.items[:i], q.items[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (q *refQueue) pop() refEvent {
+	head := q.items[0]
+	q.items = q.items[1:]
+	return head
+}
+
+// TestEventQueueCrossCheck drives the engine and a sorted-slice reference
+// queue through the same deterministic stream of 10k mixed
+// At/Cancel/Reschedule/Step operations and requires identical firing
+// schedules: the (when, seq) total order every trace depends on.
 func TestEventQueueCrossCheck(t *testing.T) {
 	type firing struct {
 		at    Time
 		label int
 	}
-	run := func(kind QueueKind) ([]firing, Stats) {
-		const ops = 10000
-		rng := rand.New(rand.NewSource(99))
-		e := NewEngine(0, WithEventQueue(kind))
-		var log []firing
-		var handles []Event
-		label := 0
-		for i := 0; i < ops; i++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				// Schedule with a spread of horizons: same-instant ties,
-				// sub-tick deltas, and multi-level wheel distances.
-				label++
-				l := label
-				var d Duration
-				switch rng.Intn(4) {
-				case 0:
-					d = 0 // ties at the current instant
-				case 1:
-					d = Duration(rng.Int63n(int64(2 * Millisecond)))
-				case 2:
-					d = Duration(rng.Int63n(int64(5 * Second)))
-				default:
-					d = Duration(rng.Int63n(int64(10 * Minute)))
-				}
-				handles = append(handles, e.After(d, "x", func() {
-					log = append(log, firing{e.Now(), l})
-				}))
-			case r < 7 && len(handles) > 0:
-				// Cancel a random handle; stale ones must be no-ops.
-				e.Cancel(handles[rng.Intn(len(handles))])
-			case r < 9 && len(handles) > 0:
-				// Reschedule a random still-pending handle, earlier or later.
-				if h := handles[rng.Intn(len(handles))]; h.Pending() {
-					e.Reschedule(h, e.Now().Add(Duration(rng.Int63n(int64(30*Second)))))
-				}
-			default:
-				e.Step()
-			}
+	const ops = 10000
+	rng := rand.New(rand.NewSource(99))
+	e := NewEngine(0)
+	var ref refQueue
+	var got, want []firing
+	var handles []Event // handles[i] belongs to label i+1
+	canceled := uint64(0)
+	step := func() {
+		if len(ref.items) > 0 {
+			head := ref.pop()
+			want = append(want, firing{head.when, head.label})
 		}
-		e.RunAll()
-		return log, e.Stats()
+		e.Step()
 	}
-
-	heapLog, heapStats := run(QueueHeap)
-	wheelLog, wheelStats := run(QueueWheel)
-	if len(heapLog) == 0 {
+	for i := 0; i < ops; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			// Schedule with a spread of horizons: same-instant ties,
+			// sub-millisecond deltas, minutes, and delays beyond 52 days.
+			l := len(handles) + 1
+			var d Duration
+			switch rng.Intn(5) {
+			case 0:
+				d = 0 // ties at the current instant
+			case 1:
+				d = Duration(rng.Int63n(int64(2 * Millisecond)))
+			case 2:
+				d = Duration(rng.Int63n(int64(5 * Second)))
+			case 3:
+				d = Duration(rng.Int63n(int64(10 * Minute)))
+			default:
+				d = 53*24*Hour + Duration(rng.Int63n(int64(2*365*24*Hour)))
+			}
+			ref.schedule(e.Now().Add(d), l)
+			handles = append(handles, e.After(d, "x", func() {
+				got = append(got, firing{e.Now(), l})
+			}))
+		case r < 7 && len(handles) > 0:
+			// Cancel a random handle; stale ones must be no-ops.
+			l := rng.Intn(len(handles)) + 1
+			pending := ref.remove(l)
+			if ok := e.Cancel(handles[l-1]); ok != pending {
+				t.Fatalf("op %d: Cancel(label %d) = %v, reference pending %v", i, l, ok, pending)
+			}
+			if pending {
+				canceled++
+			}
+		case r < 9 && len(handles) > 0:
+			// Reschedule a random still-pending handle, earlier or later.
+			l := rng.Intn(len(handles)) + 1
+			if h := handles[l-1]; h.Pending() {
+				at := e.Now().Add(Duration(rng.Int63n(int64(30 * Second))))
+				if !ref.remove(l) {
+					t.Fatalf("op %d: label %d pending in the engine, not in the reference", i, l)
+				}
+				ref.schedule(at, l)
+				e.Reschedule(h, at)
+			}
+		default:
+			step()
+		}
+		if e.Pending() != len(ref.items) {
+			t.Fatalf("op %d: engine has %d pending, reference %d", i, e.Pending(), len(ref.items))
+		}
+	}
+	for len(ref.items) > 0 {
+		step()
+	}
+	if e.Step() {
+		t.Fatal("engine fired an event the reference does not hold")
+	}
+	if len(want) == 0 {
 		t.Fatal("no events fired; the cross-check exercised nothing")
 	}
-	if len(heapLog) != len(wheelLog) {
-		t.Fatalf("firing counts differ: heap %d, wheel %d", len(heapLog), len(wheelLog))
+	if len(got) != len(want) {
+		t.Fatalf("firing counts differ: engine %d, reference %d", len(got), len(want))
 	}
-	for i := range heapLog {
-		if heapLog[i] != wheelLog[i] {
-			t.Fatalf("firing %d differs: heap %+v, wheel %+v", i, heapLog[i], wheelLog[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d differs: engine %+v, reference %+v", i, got[i], want[i])
 		}
 	}
-	if heapStats != wheelStats {
-		t.Fatalf("stats differ: heap %+v, wheel %+v", heapStats, wheelStats)
+	if st := e.Stats(); st.Events != uint64(len(want)) || st.Canceled != canceled {
+		t.Fatalf("stats %+v, want %d events and %d canceled", st, len(want), canceled)
 	}
 }
 
-// TestWheelQueueFarHorizon exercises the outer wheels and the beyond-horizon
-// clamp: events farther than the wheel's direct 2^32-tick span must still
-// fire, in order, and never early.
+// TestWheelQueueFarHorizon checks that events from a millisecond out to
+// well past the 2^32-tick × 2^20 ns (~52 day) horizon of a Linux-style
+// timing wheel fire in order at exactly their scheduled times: the heap
+// has no horizon, so nothing may be clamped and re-filed.
 func TestWheelQueueFarHorizon(t *testing.T) {
-	e := NewEngine(0, WithEventQueue(QueueWheel))
+	e := NewEngine(0)
 	var order []int
 	at := make(map[int]Time)
-	// Distances chosen to land in each wheel level and beyond the horizon.
-	horizon := Duration(wheelHorizon) << wheelShift
+	horizon := Duration(1<<32-1) << 20
 	delays := []Duration{
-		Millisecond,           // tv1
-		500 * Millisecond,     // tvn[0]
-		30 * Second,           // tvn[1]
-		20 * Minute,           // tvn[2]
-		30 * Hour,             // tvn[3]
-		horizon + 24*Hour,     // clamped, one re-cascade
-		horizon + 40*24*Hour,  // clamped, several re-cascades
-		2*horizon + 7*24*Hour, // clamped repeatedly
+		Millisecond,
+		500 * Millisecond,
+		30 * Second,
+		20 * Minute,
+		30 * Hour,
+		horizon + 24*Hour,
+		horizon + 40*24*Hour,
+		2*horizon + 7*24*Hour,
 	}
 	for i, d := range delays {
 		i, d := i, d
@@ -117,33 +182,31 @@ func TestWheelQueueFarHorizon(t *testing.T) {
 }
 
 // TestEngineZeroAllocSteadyState is the acceptance guard: once the freelist
-// is warm, the At+Step hot path must run without a single heap allocation,
-// on both queue implementations. Run under -count=1 in CI (scripts/check.sh)
-// so a regression fails the build.
+// is warm, the At+Step hot path must run without a single heap allocation.
+// Run under -count=1 in CI (scripts/check.sh) so a regression fails the
+// build.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(0, WithEventQueue(kind))
-		fn := func() {}
-		// Warm the freelist and the heap queue's backing slice.
-		for i := 0; i < 64; i++ {
-			e.After(Duration(i)*Microsecond, "warm", fn)
+	e := NewEngine(0)
+	fn := func() {}
+	// Warm the freelist and the heap queue's backing slice.
+	for i := 0; i < 64; i++ {
+		e.After(Duration(i)*Microsecond, "warm", fn)
+	}
+	e.RunAll()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.After(50*Microsecond, "hot", fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Errorf("At+Step steady state allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ev := e.After(50*Microsecond, "hot", fn)
+		e.Reschedule(ev, e.Now().Add(80*Microsecond))
+		if !e.Cancel(ev) {
+			t.Fatal("cancel failed")
 		}
-		e.RunAll()
-		if allocs := testing.AllocsPerRun(1000, func() {
-			e.After(50*Microsecond, "hot", fn)
-			e.Step()
-		}); allocs != 0 {
-			t.Errorf("%v: At+Step steady state allocates %.1f objects/op, want 0", kind, allocs)
-		}
-		if allocs := testing.AllocsPerRun(1000, func() {
-			ev := e.After(50*Microsecond, "hot", fn)
-			e.Reschedule(ev, e.Now().Add(80*Microsecond))
-			if !e.Cancel(ev) {
-				t.Fatal("cancel failed")
-			}
-		}); allocs != 0 {
-			t.Errorf("%v: After+Reschedule+Cancel allocates %.1f objects/op, want 0", kind, allocs)
-		}
+	}); allocs != 0 {
+		t.Errorf("After+Reschedule+Cancel allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -196,36 +259,28 @@ func TestStaleHandleSafety(t *testing.T) {
 }
 
 func BenchmarkEngineScheduleFire(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngine(0, WithEventQueue(kind))
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.After(50*Microsecond, "bench", fn)
-				e.Step()
-			}
-		})
+	e := NewEngine(0)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(50*Microsecond, "bench", fn)
+		e.Step()
 	}
 }
 
 // BenchmarkEnginePendingLoad measures scheduling against a populated queue,
-// where the heap pays O(log n) sift costs and the wheel stays O(1).
+// where the heap pays O(log n) sift costs.
 func BenchmarkEnginePendingLoad(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngine(0, WithEventQueue(kind))
-			fn := func() {}
-			for i := 0; i < 4096; i++ {
-				e.After(Duration(i+1)*Millisecond, "load", fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := e.After(Duration(i%4000)*Millisecond+Microsecond, "bench", fn)
-				e.Cancel(ev)
-			}
-		})
+	e := NewEngine(0)
+	fn := func() {}
+	for i := 0; i < 4096; i++ {
+		e.After(Duration(i+1)*Millisecond, "load", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := e.After(Duration(i%4000)*Millisecond+Microsecond, "bench", fn)
+		e.Cancel(ev)
 	}
 }

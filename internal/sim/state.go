@@ -13,8 +13,8 @@ import (
 // forwards deterministically to the keyframe window, and then VERIFIES that
 // the reconstructed engines match the serialized keyframe exactly. State()
 // is that verification surface: the clock, the scheduling sequence counter,
-// the full pending-event set (folded to an order-independent-of-queue-kind
-// hash), the RNG position and the accounting stats. Two engines that agree
+// the full pending-event set (folded in canonical order to one hash), the
+// RNG position and the accounting stats. Two engines that agree
 // on State() have byte-identical futures for the same inputs.
 
 // countingSource wraps the engine's random source and counts raw draws.
@@ -78,9 +78,8 @@ type EngineState struct {
 	// Pending is the number of queued events.
 	Pending int
 	// EventsHash folds the pending-event set — every (when, seq, name)
-	// triple in (when, seq) order — into one FNV-1a 64 value. It is
-	// queue-kind independent: heap and wheel engines with the same pending
-	// set hash identically.
+	// triple in (when, seq) order — into one FNV-1a 64 value, so it does
+	// not depend on the heap's internal layout.
 	EventsHash uint64
 	// RandDraws is the RNG stream position (see Engine.RandDraws).
 	RandDraws uint64
@@ -115,9 +114,7 @@ func fnvString(h uint64, s string) uint64 {
 // scratch slice to sort the pending set into the canonical (when, seq)
 // order before hashing.
 func (e *Engine) State() EngineState {
-	events := make([]*event, 0, e.queue.len())
-	e.queue.forEach(func(n *event) { events = append(events, n) })
-	sort.Slice(events, func(i, j int) bool { return eventLess(events[i], events[j]) })
+	events := e.pendingSorted()
 	h := uint64(fnvOffset64)
 	for _, n := range events {
 		h = fnvUint64(h, uint64(n.when))
@@ -134,13 +131,18 @@ func (e *Engine) State() EngineState {
 	}
 }
 
+// pendingSorted copies the queued nodes into canonical (when, seq) order.
+func (e *Engine) pendingSorted() []*event {
+	events := append([]*event(nil), e.queue.items...)
+	sort.Slice(events, func(i, j int) bool { return eventLess(events[i], events[j]) })
+	return events
+}
+
 // ForEachPending calls fn for every queued event in canonical (when, seq)
 // order with the event's schedule instant and diagnostic name. Like State
 // it is a cold-path diagnostic walk.
 func (e *Engine) ForEachPending(fn func(when Time, name string)) {
-	events := make([]*event, 0, e.queue.len())
-	e.queue.forEach(func(n *event) { events = append(events, n) })
-	sort.Slice(events, func(i, j int) bool { return eventLess(events[i], events[j]) })
+	events := e.pendingSorted()
 	for _, n := range events {
 		fn(n.when, n.name)
 	}

@@ -2,32 +2,6 @@ package sim
 
 import "testing"
 
-// TestStateQueueKindIndependent pins the checkpoint contract: two engines
-// with the same history must export identical EngineState regardless of the
-// event-queue implementation behind them.
-func TestStateQueueKindIndependent(t *testing.T) {
-	build := func(k QueueKind) *Engine {
-		e := NewEngine(7, WithEventQueue(k))
-		for i := 0; i < 200; i++ {
-			d := Duration(e.Rand().Int63n(int64(5 * Second)))
-			e.After(d, "t", func() {})
-		}
-		e.Run(Time(Second))
-		// Leave a mixed pending set: short and far-horizon events.
-		e.After(3*Second, "short", func() {})
-		e.After(2*Minute, "far", func() {})
-		return e
-	}
-	h := build(QueueHeap).State()
-	w := build(QueueWheel).State()
-	if h != w {
-		t.Fatalf("state differs across queue kinds:\nheap:  %+v\nwheel: %+v", h, w)
-	}
-	if h.Pending == 0 || h.EventsHash == 0 {
-		t.Fatalf("degenerate state: %+v", h)
-	}
-}
-
 // TestStateDetectsDivergence: engines with different histories must not
 // collide on the events hash (the keyframe verifier depends on it).
 func TestStateDetectsDivergence(t *testing.T) {
@@ -108,25 +82,22 @@ func TestStopResume(t *testing.T) {
 	}
 }
 
-// TestForEachPendingOrder: the export walk delivers (when, seq) order on
-// both queue kinds.
+// TestForEachPendingOrder: the export walk delivers (when, seq) order.
 func TestForEachPendingOrder(t *testing.T) {
-	for _, k := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(3, WithEventQueue(k))
-		for i := 0; i < 100; i++ {
-			e.After(Duration(e.Rand().Int63n(int64(Minute))), "t", func() {})
+	e := NewEngine(3)
+	for i := 0; i < 100; i++ {
+		e.After(Duration(e.Rand().Int63n(int64(Minute))), "t", func() {})
+	}
+	var last Time
+	n := 0
+	e.ForEachPending(func(when Time, name string) {
+		if when < last {
+			t.Fatalf("out-of-order walk: %v after %v", when, last)
 		}
-		var last Time
-		n := 0
-		e.ForEachPending(func(when Time, name string) {
-			if when < last {
-				t.Fatalf("%s: out-of-order walk: %v after %v", k, when, last)
-			}
-			last = when
-			n++
-		})
-		if n != e.Pending() {
-			t.Fatalf("%s: walked %d of %d pending", k, n, e.Pending())
-		}
+		last = when
+		n++
+	})
+	if n != e.Pending() {
+		t.Fatalf("walked %d of %d pending", n, e.Pending())
 	}
 }

@@ -328,7 +328,7 @@ func benchQueue(b *testing.B, mk func() Queue) {
 }
 
 func BenchmarkQueueSortedList(b *testing.B) { benchQueue(b, func() Queue { return NewSortedList() }) }
-func BenchmarkQueueHeap(b *testing.B)       { benchQueue(b, func() Queue { return NewHeap() }) }
+func BenchmarkQueueBinaryHeap(b *testing.B) { benchQueue(b, func() Queue { return NewHeap() }) }
 func BenchmarkQueueSimpleWheel(b *testing.B) {
 	benchQueue(b, func() Queue { return NewSimpleWheel(1024) })
 }

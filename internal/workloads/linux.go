@@ -27,7 +27,7 @@ type linuxSystem struct {
 }
 
 func newLinuxSystem(cfg Config) *linuxSystem {
-	eng := cfg.newEngine()
+	eng := sim.NewEngine(cfg.Seed)
 	sink, buf := cfg.traceSink()
 	l := kernel.NewLinux(eng, sink)
 	sys := &linuxSystem{cfg: cfg, eng: eng, sink: sink, tr: buf, l: l, rng: eng.Rand()}

@@ -28,7 +28,7 @@ type vistaSystem struct {
 }
 
 func newVistaSystem(cfg Config) *vistaSystem {
-	eng := cfg.newEngine()
+	eng := sim.NewEngine(cfg.Seed)
 	sink, buf := cfg.traceSink()
 	sys := &vistaSystem{cfg: cfg, eng: eng, sink: sink, tr: buf, k: ktimer.NewKernel(eng, sink), rng: eng.Rand(), nextPID: 3}
 	sys.net = netsim.NewNetwork(eng)

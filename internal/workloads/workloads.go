@@ -25,21 +25,12 @@ type Config struct {
 	// TraceCap bounds the in-memory trace; 0 means the paper's 512 MiB
 	// relayfs equivalent.
 	TraceCap int
-	// Queue selects the engine's event-queue implementation (default
-	// sim.QueueHeap). Traces are byte-identical across kinds; the choice
-	// only affects run time.
-	Queue sim.QueueKind
 	// Sink, if non-nil, receives the trace records instead of an in-memory
 	// buffer — e.g. a trace.StreamWriter spilling to disk during the run.
 	// Result.Trace is then nil (the records were never stored); TraceCap is
 	// ignored. Record bytes are identical either way: sinks intern origins
 	// with the same ID assignment.
 	Sink trace.Sink
-}
-
-// newEngine builds the workload's engine from the config.
-func (c Config) newEngine() *sim.Engine {
-	return sim.NewEngine(c.Seed, sim.WithEventQueue(c.Queue))
 }
 
 // Default returns the paper's 30-minute configuration.

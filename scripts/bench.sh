@@ -35,16 +35,21 @@ go run ./cmd/experiments "${args[@]}" > /dev/null
 go run ./cmd/experiments -fleet -hosts "${FLEET_HOSTS:-64}" \
 	-fleet-duration "${FLEET_DURATION:-5s}" -bench "$out" > /dev/null
 
-# Control plane: a steered fleet run that writes a checkpoint at its end,
-# merged under the "control" key (checkpoint_ms, checkpoint_bytes, windows,
-# commands_applied, wall_ms, digest). The steering script exercises every
-# command kind, so the bench doubles as a smoke test of the steered path.
-ctl_ck="$(mktemp)"
+# Control plane, run the way check.sh's checkpoint gate runs it: a steered
+# fleet run stopped and checkpointed at window 40, then resumed from that
+# checkpoint in a fresh process and checkpointed again at its end. The
+# resumed run writes the "control" key (resume_fastforward_ms,
+# checkpoint_ms, checkpoint_bytes, windows, commands_applied, wall_ms,
+# digest). The steering script exercises every command kind, and the
+# restart at window 60 crosses the checkpoint as a pending command.
+ctl_dir="$(mktemp -d)"
 go run ./cmd/experiments -hosts "${FLEET_HOSTS:-64}" \
 	-fleet-duration "${FLEET_DURATION:-5s}" \
 	-steer "10:spike:*:4:500ms,20:kill:ws-0000,25:policy:*:adaptive,30:coalesce:*:100ms,60:restart:ws-0000" \
-	-checkpoint "$ctl_ck" -bench "$out" > /dev/null
-rm -f "$ctl_ck"
+	-stop-window 40 -checkpoint "$ctl_dir/ck.tckp" > /dev/null
+go run ./cmd/experiments -resume "$ctl_dir/ck.tckp" \
+	-checkpoint "$ctl_dir/ck_end.tckp" -bench "$out" > /dev/null
+rm -rf "$ctl_dir"
 
 # Live trace service: loopback ingest/query throughput (producers x
 # readers through real HTTP), merged under the "serve" key. The run also

@@ -14,7 +14,7 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== parallel determinism golden test =="
-go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers|TestQueueKindsByteIdenticalTraces' \
+go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers' \
 	./cmd/experiments ./internal/workloads
 
 echo "== spill-vs-memory determinism golden test =="
@@ -55,8 +55,8 @@ go run ./cmd/timerlint ./...
 
 echo "== timerlint allocfree gate (annotated hot paths must have no heap escapes) =="
 # Redundant with the full run above, but asserted separately so an alloc
-# regression on the engine schedule/expire path, the wheel cascade, the
-# trace encoders, or the analysis per-record fold fails with an
+# regression on the engine schedule/expire path, the trace encoders, or
+# the analysis per-record fold fails with an
 # unmistakable step name.
 go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/trace ./internal/analysis
 
@@ -95,9 +95,9 @@ fi
 echo "fleet digest $d1 identical at workers=1 and workers=4"
 
 echo "== command-replay determinism gate (steered run == recorded replay) =="
-# A steered run's recorded command log, replayed from seed in a separate
-# process at a different worker count AND on the other event-queue
-# implementation, must land on the identical control digest. CONTROL_HOSTS
+# A steered run's recorded command log, replayed from seed in separate
+# processes at two other worker counts (1 and 8), must land on the
+# identical control digest. CONTROL_HOSTS
 # sizes the fleet (default 1024 — the acceptance scale; the whole
 # four-run gate pair takes ~12 s on this container).
 ctl_dir="$(mktemp -d)"
@@ -110,9 +110,9 @@ c1="$("$ctl_dir/experiments" "${ctl_args[@]}" -steer "$steer_script" \
 c2="$("$ctl_dir/experiments" "${ctl_args[@]}" -replay-commands "$ctl_dir/cmds.tcmd" \
 	-fleet-workers 1 | grep '^control digest:' | cut -d' ' -f3)"
 c3="$("$ctl_dir/experiments" "${ctl_args[@]}" -replay-commands "$ctl_dir/cmds.tcmd" \
-	-fleet-workers 8 -queue wheel | grep '^control digest:' | cut -d' ' -f3)"
+	-fleet-workers 8 | grep '^control digest:' | cut -d' ' -f3)"
 if [[ -z "$c1" || "$c1" != "$c2" || "$c1" != "$c3" ]]; then
-	echo "COMMAND REPLAY NONDETERMINISM: steered '$c1' vs replay-w1 '$c2' vs replay-w8-wheel '$c3'" >&2
+	echo "COMMAND REPLAY NONDETERMINISM: steered '$c1' vs replay-w1 '$c2' vs replay-w8 '$c3'" >&2
 	rm -rf "$ctl_dir"
 	exit 1
 fi
