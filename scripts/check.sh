@@ -97,9 +97,10 @@ echo "fleet digest $d1 identical at workers=1 and workers=4"
 echo "== command-replay determinism gate (steered run == recorded replay) =="
 # A steered run's recorded command log, replayed from seed in separate
 # processes at two other worker counts (1 and 8), must land on the
-# identical control digest. CONTROL_HOSTS
-# sizes the fleet (default 1024 — the acceptance scale; the whole
-# four-run gate pair takes ~12 s on this container).
+# identical control digest. At the default size that digest must also be
+# the pinned golden be705190bd09bb32 (1024 hosts, 1 s, seed 7, steered).
+# CONTROL_HOSTS sizes the fleet (default 1024 — the acceptance scale; the
+# whole four-run gate pair takes ~12 s on a 2-core machine).
 ctl_dir="$(mktemp -d)"
 ctl_args=(-hosts "${CONTROL_HOSTS:-1024}" -fleet-duration 1s -seed 7)
 steer_script="10:spike:*:4:200ms,20:kill:ws-0000,25:policy:*:adaptive,30:coalesce:*:100ms,60:restart:ws-0000"
@@ -113,6 +114,11 @@ c3="$("$ctl_dir/experiments" "${ctl_args[@]}" -replay-commands "$ctl_dir/cmds.tc
 	-fleet-workers 8 | grep '^control digest:' | cut -d' ' -f3)"
 if [[ -z "$c1" || "$c1" != "$c2" || "$c1" != "$c3" ]]; then
 	echo "COMMAND REPLAY NONDETERMINISM: steered '$c1' vs replay-w1 '$c2' vs replay-w8 '$c3'" >&2
+	rm -rf "$ctl_dir"
+	exit 1
+fi
+if [[ -z "${CONTROL_HOSTS:-}" && "$c1" != "be705190bd09bb32" ]]; then
+	echo "CONTROL GOLDEN CHANGED: 1024-host steered digest '$c1' != be705190bd09bb32" >&2
 	rm -rf "$ctl_dir"
 	exit 1
 fi
