@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -15,48 +13,10 @@ import (
 	"timerstudy/internal/control"
 	"timerstudy/internal/fleet"
 	"timerstudy/internal/sim"
-	"timerstudy/internal/trace"
-	"timerstudy/internal/workloads"
 )
 
-// The steered-fleet mode: wrap the -fleet scenario in the control plane so
-// a run can be perturbed (-steer, -poll), recorded (-record-commands),
-// replayed (-replay-commands), interrupted (-checkpoint -stop-window) and
-// resumed (-resume). Every path prints the same "control digest:" line the
-// check.sh gates compare: a replayed or resumed run must land on the exact
-// digest of the original.
-
-var (
-	listFl          = flag.Bool("list", false, "list scenarios, workloads and steering commands, then exit")
-	steerFl         = flag.String("steer", "", "steer the fleet: comma-separated window:kind:host[:arg[:dur]] commands (see -list)")
-	recordCmdFl     = flag.String("record-commands", "", "write the applied command log (TCMD) to this file at exit")
-	replayCmdFl     = flag.String("replay-commands", "", "replay a recorded command log (TCMD) from this file")
-	checkpointFl    = flag.String("checkpoint", "", "write a checkpoint (TCKP) to this file (at -stop-window, or at run end)")
-	stopWindowFl    = flag.Int("stop-window", 0, "stop the controlled run at this window boundary (requires -checkpoint)")
-	resumeFl        = flag.String("resume", "", "resume a controlled run from this checkpoint file")
-	keyframeEveryFl = flag.Int("keyframe-every", 0, "automatic keyframe cadence in windows (0 = control-plane default)")
-	pollFl          = flag.String("poll", "", "poll a timerstat -serve command hub at this base URL for steering commands")
-)
-
-// controlMode reports whether any control-plane flag asks for the steered
-// fleet path instead of plain -fleet.
-func controlMode() bool {
-	return *steerFl != "" || *replayCmdFl != "" || *checkpointFl != "" ||
-		*resumeFl != "" || *pollFl != "" || *recordCmdFl != ""
-}
-
-// controlBench is the "control" key merged into the -bench JSON report.
-type controlBench struct {
-	Hosts            int     `json:"hosts"`
-	Workers          int     `json:"workers"`
-	Windows          int     `json:"windows"`
-	CommandsApplied  int     `json:"commands_applied"`
-	CheckpointMS     float64 `json:"checkpoint_ms"`
-	CheckpointBytes  int     `json:"checkpoint_bytes"`
-	ResumeForwardMS  float64 `json:"resume_fastforward_ms"`
-	WallMS           float64 `json:"wall_ms"`
-	Digest           string  `json:"digest"`
-}
+// Steering input for the -fleet driver: the -steer script parser and the
+// -poll client that lets a timerstat -serve dashboard stage commands.
 
 // parseSteer turns the -steer spec into commands. Format, comma-separated:
 //
@@ -246,253 +206,4 @@ func (hp *hubPoller) report(p *control.Plane, results []hubResult) {
 		return
 	}
 	resp.Body.Close()
-}
-
-// controlSpec builds the run identity from the fleet flags, mirroring
-// runFleet's host split.
-func controlSpec() (control.Spec, error) {
-	hosts := *hostsFl
-	if hosts < 1 {
-		return control.Spec{}, fmt.Errorf("-hosts must be at least 1")
-	}
-	ws := hosts / 8
-	if ws < 1 {
-		ws = 1
-	}
-	return control.Spec{
-		Webservers: ws,
-		Desktops:   hosts - ws,
-		Seed:       *seedFlag,
-		End:        sim.FromStd(*fleetDurFl),
-	}, nil
-}
-
-// runControl is the steered-fleet entry point; returns the exit code.
-func runControl() int {
-	workers := *fleetWorkersFl
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	opts := []control.Option{control.WithWorkers(workers)}
-	if *keyframeEveryFl > 0 {
-		opts = append(opts, control.WithKeyframeEvery(*keyframeEveryFl))
-	}
-
-	var (
-		p         *control.Plane
-		err       error
-		resumeFwd time.Duration
-	)
-	switch {
-	case *resumeFl != "":
-		data, rerr := os.ReadFile(*resumeFl)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -resume: %v\n", rerr)
-			return 1
-		}
-		cp, rerr := trace.ReadCheckpoint(bytes.NewReader(data))
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -resume: %v\n", rerr)
-			return 1
-		}
-		t0 := time.Now()
-		p, err = control.Resume(cp, opts...)
-		resumeFwd = time.Since(t0)
-		if err == nil {
-			fmt.Printf("control: resumed %q at window %d (fast-forward %.0f ms, %d hosts verified)\n",
-				cp.Label, cp.Window, resumeFwd.Seconds()*1e3, len(cp.Hosts))
-		}
-	case *replayCmdFl != "":
-		spec, serr := controlSpec()
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", serr)
-			return 2
-		}
-		data, rerr := os.ReadFile(*replayCmdFl)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -replay-commands: %v\n", rerr)
-			return 1
-		}
-		log, derr := control.DecodeCommands(data)
-		if derr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -replay-commands: %v\n", derr)
-			return 1
-		}
-		p, err = control.Replay(spec, log, opts...)
-		if err == nil {
-			fmt.Printf("control: replaying %d recorded commands\n", len(log))
-		}
-	default:
-		spec, serr := controlSpec()
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", serr)
-			return 2
-		}
-		p, err = control.NewPlane(spec, opts...)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
-	}
-	spec := p.Spec()
-	fmt.Printf("control: %d hosts (%d webservers, %d desktops), %v virtual, seed %d, workers %d\n",
-		spec.Webservers+spec.Desktops, spec.Webservers, spec.Desktops,
-		spec.End, spec.Seed, workers)
-
-	if *steerFl != "" {
-		cmds, serr := parseSteer(*steerFl, p.Fleet())
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", serr)
-			return 2
-		}
-		for _, c := range cmds {
-			if ok, reason := p.Enqueue(c); !ok {
-				fmt.Fprintf(os.Stderr, "experiments: -steer %s@%d: %s\n", c.Kind, c.Window, reason)
-				return 2
-			}
-		}
-		fmt.Printf("control: staged %d steering commands\n", len(cmds))
-	}
-
-	var poller *hubPoller
-	if *pollFl != "" {
-		poller = &hubPoller{base: strings.TrimRight(*pollFl, "/"), client: &http.Client{Timeout: pollInterval}}
-		fmt.Printf("control: polling %s for commands\n", poller.base)
-	}
-
-	// The drive loop: poll, advance, until the stop window or the end.
-	start := time.Now()
-	stopped := false
-	for {
-		if *stopWindowFl > 0 && p.Windows() >= *stopWindowFl {
-			stopped = true
-			break
-		}
-		poller.poll(p)
-		if !p.Advance() {
-			break
-		}
-	}
-
-	var (
-		ckptWall  time.Duration
-		ckptBytes int
-	)
-	if stopped {
-		if *checkpointFl == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -stop-window without -checkpoint would discard the run")
-			p.Abort()
-			return 2
-		}
-		t0 := time.Now()
-		cp := p.Checkpoint("experiments -checkpoint")
-		var buf bytes.Buffer
-		if err := trace.WriteCheckpoint(&buf, cp); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
-			p.Abort()
-			return 1
-		}
-		ckptWall = time.Since(t0)
-		ckptBytes = buf.Len()
-		if err := os.WriteFile(*checkpointFl, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
-			p.Abort()
-			return 1
-		}
-		p.Abort()
-		fmt.Printf("control: checkpoint %s at window %d (%d hosts, %d bytes, %.1f ms)\n",
-			*checkpointFl, cp.Window, len(cp.Hosts), ckptBytes, ckptWall.Seconds()*1e3)
-		fmt.Printf("control stopped: window=%d resume with -resume %s\n", cp.Window, *checkpointFl)
-		return emitControlArtifacts(p, workers, ckptWall, ckptBytes, resumeFwd, time.Since(start), stopped)
-	}
-
-	stats := p.Finish()
-	wall := time.Since(start)
-	digest := p.Fleet().Digest()
-	fmt.Printf("control: %d windows, %d events, %d commands applied, traffic %d sent / %d delivered / %d lost\n",
-		stats.Windows, stats.Events, len(p.CommandLog()), stats.Sent, stats.Delivered, stats.Lost)
-	if *checkpointFl != "" {
-		t0 := time.Now()
-		cp := p.Checkpoint("experiments -checkpoint (end of run)")
-		var buf bytes.Buffer
-		if err := trace.WriteCheckpoint(&buf, cp); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
-			return 1
-		}
-		ckptWall = time.Since(t0)
-		ckptBytes = buf.Len()
-		if err := os.WriteFile(*checkpointFl, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
-			return 1
-		}
-		fmt.Printf("control: checkpoint %s at window %d (%d bytes, %.1f ms)\n",
-			*checkpointFl, cp.Window, ckptBytes, ckptWall.Seconds()*1e3)
-	}
-	fmt.Printf("control digest: %016x windows=%d workers=%d\n", digest, stats.Windows, workers)
-	return emitControlArtifacts(p, workers, ckptWall, ckptBytes, resumeFwd, wall, stopped)
-}
-
-// emitControlArtifacts writes the command log and the bench key; shared by
-// the stopped and completed exits.
-func emitControlArtifacts(p *control.Plane, workers int, ckptWall time.Duration, ckptBytes int, resumeFwd, wall time.Duration, stopped bool) int {
-	if *recordCmdFl != "" {
-		history := append(p.CommandLog(), p.Pending()...)
-		if err := os.WriteFile(*recordCmdFl, control.EncodeCommands(history), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -record-commands: %v\n", err)
-			return 1
-		}
-		fmt.Printf("control: recorded %d commands to %s\n", len(history), *recordCmdFl)
-	}
-	if *benchFl != "" {
-		spec := p.Spec()
-		digest := ""
-		if !stopped {
-			digest = fmt.Sprintf("%016x", p.Fleet().Digest())
-		}
-		cb := controlBench{
-			Hosts:           spec.Webservers + spec.Desktops,
-			Workers:         workers,
-			Windows:         p.Windows(),
-			CommandsApplied: len(p.CommandLog()),
-			CheckpointMS:    ckptWall.Seconds() * 1e3,
-			CheckpointBytes: ckptBytes,
-			ResumeForwardMS: resumeFwd.Seconds() * 1e3,
-			WallMS:          wall.Seconds() * 1e3,
-			Digest:          digest,
-		}
-		if err := mergeBenchKey(*benchFl, "control", cb); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
-			return 1
-		}
-	}
-	return 0
-}
-
-// runList enumerates what this binary can run — the -list satellite: no
-// more guessing scenario or command names from error messages.
-func runList() int {
-	fmt.Println("scenarios:")
-	fmt.Println("  (default)      the paper's evaluation traces (Tables 1-3, Figures 2-11)")
-	fmt.Println("  -fleet         parallel datacenter fleet with determinism verification")
-	fmt.Println("  -serve-bench   loopback live-service ingest/query benchmark")
-	fmt.Println("  -steer/-poll/-checkpoint/-resume/-replay-commands")
-	fmt.Println("                 steered fleet under the deterministic control plane")
-	fmt.Println()
-	fmt.Println("workloads (single-host traces):")
-	for _, os := range []struct {
-		name  string
-		names []string
-	}{{"linux", workloads.LinuxWorkloads()}, {"vista", workloads.VistaWorkloads()}} {
-		for _, w := range os.names {
-			fmt.Printf("  %s/%s\n", os.name, w)
-		}
-	}
-	fmt.Println()
-	fmt.Println("steering commands (window:kind:host[:arg[:dur]], host \"*\" = fleet-wide):")
-	fmt.Println("  spike     multiply desktop request rate by arg for dur (e.g. 10:spike:*:4:500ms)")
-	fmt.Println("  kill      power a host off at the boundary (20:kill:ws-0000)")
-	fmt.Println("  restart   power a killed host back on (60:restart:ws-0000)")
-	fmt.Println("  policy    request-timeout policy: fixed | adaptive (25:policy:*:adaptive)")
-	fmt.Println("  coalesce  periodic-timer coalescing window (30:coalesce:*:100ms)")
-	return 0
 }

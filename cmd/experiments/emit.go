@@ -26,10 +26,8 @@ import (
 
 var (
 	emitFl           = flag.String("emit", "", "stream traces to a live timerstat -serve service at this base URL while running")
-	serveBenchFl     = flag.Bool("serve-bench", false, "run the loopback live-service benchmark instead of the experiments")
 	serveProducersFl = flag.Int("serve-producers", 8, "serve-bench: concurrent producer streams")
 	serveReadersFl   = flag.Int("serve-readers", 4, "serve-bench: concurrent API readers")
-	versionFl        = flag.Bool("version", false, "print build version and exit")
 )
 
 // emitTrace replays a finished run's in-memory trace to the -emit service
@@ -240,8 +238,8 @@ func benchPipeline() analysis.Pipeline {
 }
 
 // mergeBenchKey sets one key in a benchmark JSON report (created if
-// absent), preserving other keys — the same merge contract the fleet and
-// lint benches use.
+// absent), preserving other keys — the same merge contract timerlint uses
+// for "lint".
 func mergeBenchKey(path, key string, v any) error {
 	report := map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {

@@ -15,6 +15,8 @@
 //	experiments -quick       # 2-minute traces for a fast look
 //	experiments -j 4         # cap the worker pool (default GOMAXPROCS)
 //	experiments -bench f.json # also write machine-readable wall-clock timings
+//	experiments -fleet       # the datacenter fleet under the control plane
+//	experiments -list        # every mode, its flags, workloads and commands
 package main
 
 import (
@@ -39,7 +41,6 @@ import (
 	"timerstudy/internal/sim"
 	"timerstudy/internal/softtimer"
 	"timerstudy/internal/trace"
-	"timerstudy/internal/version"
 	"timerstudy/internal/workloads"
 )
 
@@ -54,9 +55,8 @@ var (
 	cpuproFl  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memproFl  = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
 
-	fleetFl        = flag.Bool("fleet", false, "run the datacenter fleet scenario instead of the single-host experiments")
 	hostsFl        = flag.Int("hosts", 1024, "fleet: total host count (1/8 webservers, rest desktops)")
-	fleetWorkersFl = flag.Int("fleet-workers", 0, "fleet: parallel host workers (0 = GOMAXPROCS); a workers=1 verification pass runs first when >1")
+	fleetWorkersFl = flag.Int("fleet-workers", 0, "fleet: parallel host workers (0 = GOMAXPROCS); a plain run at >1 first runs a workers=1 reference pass")
 	fleetDurFl     = flag.Duration("fleet-duration", 30*time.Second, "fleet: virtual duration")
 )
 
@@ -393,28 +393,34 @@ func main() {
 	os.Exit(run())
 }
 
-// run is main minus os.Exit, so the pprof writers below always flush.
+// run is main minus os.Exit: it selects the mode from the flags set on
+// the command line (see modes.go) and runs it. A flag the selected mode
+// does not accept exits 2 before anything starts.
 func run() int {
 	flag.Parse()
-	if *versionFl {
-		fmt.Println(version.String())
-		return 0
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		// A bool flag set to false (-fleet=false) is the default: it
+		// selects and changes nothing.
+		if g, ok := f.Value.(flag.Getter); ok && g.Get() == false {
+			return
+		}
+		set = append(set, f.Name)
+	})
+	m, err := selectMode(set)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 2
 	}
+	return m.run()
+}
+
+// runPaper is the default mode, the paper's evaluation suite. It returns
+// its exit code rather than exiting, so the pprof writers always flush.
+func runPaper() int {
 	dur := sim.FromStd(*durFlag)
 	if *quick {
 		dur = 2 * sim.Minute
-	}
-	if *listFl {
-		return runList()
-	}
-	if *serveBenchFl {
-		return runServeBench()
-	}
-	if controlMode() {
-		return runControl()
-	}
-	if *fleetFl {
-		return runFleet()
 	}
 	cfg := workloads.Config{Seed: *seedFlag, Duration: dur}
 	fmt.Printf("timerstudy experiments: %v virtual per trace, seed %d\n", dur, *seedFlag)

@@ -14,11 +14,11 @@ import (
 // (JSON); fields deliberately mirror fleet.Topology minus the
 // non-serializable parts (sink constructors), plus the run length.
 type Spec struct {
-	Webservers int          `json:"webservers"`
-	Desktops   int          `json:"desktops"`
-	Seed       int64        `json:"seed"`
-	Threads    int          `json:"threads,omitempty"`
-	ThinkMean  sim.Duration `json:"think_mean,omitempty"`
+	Webservers  int          `json:"webservers"`
+	Desktops    int          `json:"desktops"`
+	Seed        int64        `json:"seed"`
+	Threads     int          `json:"threads,omitempty"`
+	ThinkMean   sim.Duration `json:"think_mean,omitempty"`
 	ServiceMean sim.Duration `json:"service_mean,omitempty"`
 	// End is the run length in virtual time.
 	End sim.Duration `json:"end"`
@@ -96,15 +96,6 @@ type Option func(*Plane)
 // never changes results — only wall-clock speed.
 func WithWorkers(n int) Option { return func(p *Plane) { p.workers = n } }
 
-// WithMaxQueue bounds the pending command queue (default
-// defaultMaxQueue); Enqueue rejects beyond it.
-func WithMaxQueue(n int) Option { return func(p *Plane) { p.maxQueue = n } }
-
-// WithKeyframeEvery sets the automatic keyframe cadence in windows
-// (default defaultKeyframeEvery; 0 disables). At each cadence boundary
-// the plane captures a checkpoint, retrievable via Keyframe.
-func WithKeyframeEvery(n int) Option { return func(p *Plane) { p.keyframeEvery = n } }
-
 // WithSink overrides the per-host sink constructor (default: HashSink,
 // digest-only — what checkpoint verification needs).
 func WithSink(f func(string) trace.Sink) Option { return func(p *Plane) { p.newSink = f } }
@@ -116,8 +107,6 @@ func WithSink(f func(string) trace.Sink) Option { return func(p *Plane) { p.newS
 type Plane struct {
 	spec    Spec
 	workers int
-	maxQueue int
-	keyframeEvery int
 	newSink func(string) trace.Sink
 
 	fleet   *fleet.Fleet
@@ -129,18 +118,14 @@ type Plane struct {
 	dropped uint64
 	seq     uint64
 	done    bool
-
-	keyframe *trace.Checkpoint // latest automatic keyframe (WithKeyframeEvery)
 }
 
 // NewPlane builds the fleet from the spec and opens its session.
 func NewPlane(spec Spec, opts ...Option) (*Plane, error) {
 	p := &Plane{
-		spec:          spec,
-		workers:       1,
-		maxQueue:      defaultMaxQueue,
-		keyframeEvery: defaultKeyframeEvery,
-		newSink:       func(string) trace.Sink { return trace.NewHashSink() },
+		spec:    spec,
+		workers: 1,
+		newSink: func(string) trace.Sink { return trace.NewHashSink() },
 	}
 	for _, o := range opts {
 		o(p)
@@ -165,7 +150,7 @@ func (p *Plane) Enqueue(c Command) (bool, string) {
 	if reason := p.invalid(c); reason != "" {
 		return false, reason
 	}
-	if len(p.queue) >= p.maxQueue {
+	if len(p.queue) >= maxQueue {
 		return false, fmt.Sprintf("command queue full (%d pending)", len(p.queue))
 	}
 	now := uint64(p.session.Windows())
@@ -230,9 +215,6 @@ func (p *Plane) Advance() bool {
 	p.applyDue()
 	if !p.session.Step() {
 		p.done = true
-	}
-	if n := p.keyframeEvery; n > 0 && p.session.Windows() > 0 && p.session.Windows()%n == 0 {
-		p.keyframe = p.Checkpoint("auto-keyframe")
 	}
 	return !p.done
 }
@@ -361,10 +343,6 @@ func (p *Plane) CommandLog() []Command {
 	copy(out, p.log)
 	return out
 }
-
-// Keyframe returns the latest automatic keyframe (WithKeyframeEvery), or
-// nil before the first cadence boundary.
-func (p *Plane) Keyframe() *trace.Checkpoint { return p.keyframe }
 
 // Windows returns the completed window count.
 func (p *Plane) Windows() int { return p.session.Windows() }

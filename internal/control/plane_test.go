@@ -131,16 +131,16 @@ func TestEnqueueValidation(t *testing.T) {
 }
 
 func TestEnqueueQueueBound(t *testing.T) {
-	p := mustPlane(t, testSpec(), WithMaxQueue(2))
+	p := mustPlane(t, testSpec())
 	defer p.Abort()
 	c := Command{Kind: KindCoalesce, Host: -1, Arg: 1, Window: 1000}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxQueue; i++ {
 		if ok, reason := p.Enqueue(c); !ok {
 			t.Fatalf("enqueue %d: %s", i, reason)
 		}
 	}
 	if ok, reason := p.Enqueue(c); ok || !strings.Contains(reason, "queue full") {
-		t.Fatalf("third enqueue: ok=%v reason=%q", ok, reason)
+		t.Fatalf("enqueue past the bound: ok=%v reason=%q", ok, reason)
 	}
 }
 
@@ -221,7 +221,7 @@ func TestPatchesAndSnapshot(t *testing.T) {
 		}
 	}
 	enq(Command{Kind: KindKill, Host: ws})
-	enq(Command{Kind: KindKill, Host: ws})     // second kill: drained, not applied
+	enq(Command{Kind: KindKill, Host: ws})        // second kill: drained, not applied
 	enq(Command{Kind: KindRestart, Host: ws + 1}) // not down
 	if !p.Advance() {
 		t.Fatal("run ended on first window")
@@ -257,17 +257,21 @@ func TestPatchesAndSnapshot(t *testing.T) {
 }
 
 // TestPatchBufferBounded: the feed evicts its oldest entries rather than
-// growing without bound, and counts what it dropped.
+// growing without bound, and counts what it dropped. The queue bound is
+// below the feed bound, so the patches accumulate over several windows.
 func TestPatchBufferBounded(t *testing.T) {
-	p := mustPlane(t, testSpec(), WithMaxQueue(maxPatchBuffer+10))
+	p := mustPlane(t, testSpec())
 	defer p.Abort()
 	for i := 0; i < maxPatchBuffer+5; i++ {
+		if len(p.Pending()) == maxQueue && !p.Advance() {
+			t.Fatalf("run ended after %d enqueues", i)
+		}
 		if ok, reason := p.Enqueue(Command{Kind: KindCoalesce, Host: -1, Arg: 1}); !ok {
 			t.Fatalf("enqueue %d: %s", i, reason)
 		}
 	}
 	if !p.Advance() {
-		t.Fatal("run ended on first window")
+		t.Fatal("run ended before the last batch applied")
 	}
 	patches := p.DrainPatches()
 	if len(patches) != maxPatchBuffer {

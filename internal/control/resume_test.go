@@ -171,29 +171,3 @@ func TestResumePastEnd(t *testing.T) {
 		t.Fatalf("absurd checkpoint window: %v", err)
 	}
 }
-
-// TestAutoKeyframe: the cadence keyframe is a real checkpoint — resuming
-// from it reproduces the uninterrupted digest.
-func TestAutoKeyframe(t *testing.T) {
-	p := mustPlane(t, testSpec(), WithKeyframeEvery(32))
-	script(t, p)
-	runToWindow(t, p, 70)
-	cp := p.Keyframe()
-	if cp == nil {
-		t.Fatal("no automatic keyframe after 70 windows at cadence 32")
-	}
-	if cp.Window%32 != 0 || cp.Window == 0 {
-		t.Fatalf("keyframe at window %d, want a multiple of 32", cp.Window)
-	}
-	p.Finish()
-	want := p.Fleet().Digest()
-
-	r, err := Resume(cp)
-	if err != nil {
-		t.Fatalf("resume from auto keyframe: %v", err)
-	}
-	r.Finish()
-	if got := r.Fleet().Digest(); got != want {
-		t.Fatalf("auto-keyframe resume digest %016x != %016x", got, want)
-	}
-}

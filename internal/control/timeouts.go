@@ -6,17 +6,11 @@ package control
 // window boundaries, and the durations commands carry (spike length,
 // coalescing window) are caller inputs, not constants.
 const (
-	// defaultMaxQueue bounds pending commands between barriers; Enqueue
-	// rejects beyond it. Sized like the game-loop input queues this
+	// maxQueue bounds pending commands between barriers; Enqueue rejects
+	// beyond it. Sized like the game-loop input queues this
 	// façade is modeled on: far above any interactive rate, small enough
 	// that a runaway feeder fails fast instead of ballooning memory.
-	defaultMaxQueue = 256
-	// defaultKeyframeEvery is the automatic keyframe cadence in fleet
-	// windows. With millisecond-scale lookahead windows this lands a
-	// checkpoint every few hundred virtual milliseconds — frequent
-	// enough to bound replay-on-resume, rare enough that keyframe
-	// hashing stays off the hot path.
-	defaultKeyframeEvery = 256
+	maxQueue = 256
 	// maxPatchBuffer bounds the patch feed between drains; the oldest
 	// entries are evicted (and counted) on overflow.
 	maxPatchBuffer = 1024

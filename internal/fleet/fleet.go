@@ -13,7 +13,7 @@ import (
 
 // Fleet is a set of simulated hosts advancing in lock-step windows over a
 // frozen netsim.Fabric. Build it with New + AddHost (or a Topology), then
-// call Run once.
+// run one Session over it.
 type Fleet struct {
 	fabric *netsim.Fabric
 	hosts  []*Host
@@ -22,11 +22,11 @@ type Fleet struct {
 	// jobs feeds the persistent worker pool; nil while no session is active
 	// or when running with one worker.
 	jobs chan func()
-	// active guards against overlapping sessions (StartSession/Run).
+	// active guards against overlapping sessions.
 	active bool
 }
 
-// RunStats summarizes one Fleet.Run.
+// RunStats summarizes one session run.
 type RunStats struct {
 	// Windows is the number of synchronization barriers (advance+route
 	// rounds) the run needed.
@@ -46,8 +46,8 @@ type RunStats struct {
 }
 
 // New returns an empty fleet over a frozen fabric. Freezing first is
-// required: host construction interns delivery labels and Run reads the
-// link matrix from parallel workers.
+// required: host construction interns delivery labels and a session reads
+// the link matrix from parallel workers.
 func New(fabric *netsim.Fabric) *Fleet {
 	if !fabric.Frozen() {
 		panic("fleet: fabric must be frozen before New")
@@ -204,12 +204,12 @@ func (f *Fleet) minNextAt() (sim.Time, bool) {
 }
 
 // Counters sums the per-host sink counters (for sinks that keep them). A
-// teed host sink is counted once, by the first counter-keeping sink in the
-// fan — every sink in a tee sees the identical record sequence.
+// teed host sink reports its first counter-keeping inner sink, so it is
+// counted once — every sink in a tee sees the identical record sequence.
 func (f *Fleet) Counters() trace.Counters {
 	var total trace.Counters
 	for _, h := range f.hosts {
-		if c, ok := firstCounters(h.Sink); ok {
+		if c, ok := h.Sink.(interface{ Counters() trace.Counters }); ok {
 			hc := c.Counters()
 			for i := range hc.ByOp {
 				total.ByOp[i] += hc.ByOp[i]
@@ -220,16 +220,6 @@ func (f *Fleet) Counters() trace.Counters {
 		}
 	}
 	return total
-}
-
-// firstCounters finds the first counter-keeping sink in a host sink's fan.
-func firstCounters(s trace.Sink) (interface{ Counters() trace.Counters }, bool) {
-	for _, inner := range trace.Fan(s) {
-		if c, ok := inner.(interface{ Counters() trace.Counters }); ok {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 // firstHashSink finds the digest-bearing sink in a host sink's fan.

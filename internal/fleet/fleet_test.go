@@ -29,7 +29,7 @@ func testTopology() Topology {
 func runOnce(t *testing.T, top Topology, end sim.Time, workers int) ([][]byte, []analysis.Summary, RunStats) {
 	t.Helper()
 	f := top.Build()
-	stats := f.Run(end, workers)
+	stats := f.StartSession(end, workers).Finish()
 	encs := make([][]byte, len(f.Hosts()))
 	sums := make([]analysis.Summary, len(f.Hosts()))
 	for i, h := range f.Hosts() {
@@ -90,9 +90,9 @@ func TestFleetHashSinkMatchesBuffer(t *testing.T) {
 	top.NewSink = nil // default: HashSink
 	const end = sim.Time(sim.Second)
 	f1 := top.Build()
-	f1.Run(end, 1)
+	f1.StartSession(end, 1).Finish()
 	f2 := top.Build()
-	f2.Run(end, 3)
+	f2.StartSession(end, 3).Finish()
 	if f1.Digest() != f2.Digest() {
 		t.Fatalf("digest diverges across worker counts: %x vs %x", f1.Digest(), f2.Digest())
 	}
@@ -106,7 +106,7 @@ func TestFleetHashSinkMatchesBuffer(t *testing.T) {
 	// A different seed must change the digest.
 	top.Seed++
 	f3 := top.Build()
-	f3.Run(end, 1)
+	f3.StartSession(end, 1).Finish()
 	if f3.Digest() == f1.Digest() {
 		t.Fatal("different seed produced identical fleet digest")
 	}
@@ -141,7 +141,7 @@ func TestFleetZeroRTT(t *testing.T) {
 func TestFleetSingleHostUnbounded(t *testing.T) {
 	top := Topology{Webservers: 1, Seed: 7}
 	f := top.Build()
-	stats := f.Run(sim.Time(sim.Second), 2)
+	stats := f.StartSession(sim.Time(sim.Second), 2).Finish()
 	if stats.Bounded {
 		t.Fatalf("single host reported bounded lookahead: %+v", stats)
 	}
@@ -155,7 +155,7 @@ func TestFleetSingleHostUnbounded(t *testing.T) {
 
 func ExampleTopology() {
 	f := Topology{Webservers: 1, Desktops: 3, Seed: 1}.Build()
-	stats := f.Run(sim.Time(200*sim.Millisecond), 2)
+	stats := f.StartSession(sim.Time(200*sim.Millisecond), 2).Finish()
 	fmt.Println(stats.Bounded, stats.Sent > 0, stats.Delivered > 0)
 	// Output: true true true
 }

@@ -1,7 +1,7 @@
 // Package fleet simulates a datacenter: many hosts, each a full simulated
 // machine with its own event engine, timer subsystem and trace sink,
 // exchanging traffic over internal/netsim links. The fleet advances all
-// hosts in parallel using conservative-lookahead windows (see Fleet.Run and
+// hosts in parallel using conservative-lookahead windows (see StartSession and
 // DESIGN.md §"Fleet-scale parallel simulation"); per-host traces are
 // byte-identical at any worker count.
 package fleet

@@ -24,7 +24,7 @@ func (f *Fleet) Keyframe() []trace.CheckpointHost {
 		if hs, ok := firstHashSink(h.Sink); ok {
 			ch.Digest = hs.Sum64()
 		}
-		if c, ok := firstCounters(h.Sink); ok {
+		if c, ok := h.Sink.(interface{ Counters() trace.Counters }); ok {
 			ch.Counters = c.Counters()
 		}
 		hosts[i] = ch

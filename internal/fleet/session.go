@@ -2,10 +2,9 @@ package fleet
 
 import "timerstudy/internal/sim"
 
-// Session is Fleet.Run cut open at its barriers: the same
-// conservative-lookahead algorithm, but advanced one window per Step call
-// so a caller (the control plane, internal/control) can act between
-// windows. At every return from Step the fleet sits at a globally
+// Session runs the fleet one window per Step call, so a caller (the
+// control plane, internal/control) can act between windows; the algorithm
+// is described on StartSession. At every return from Step the fleet sits at a globally
 // consistent boundary — all events strictly before Floor() have executed,
 // the serial route phase has run, and no worker is touching host state —
 // which is the only point where cross-host mutation (steering commands,
@@ -14,9 +13,10 @@ import "timerstudy/internal/sim"
 // wall-clock arrival of commands.
 //
 // Lifecycle: StartSession → Step until false (or until the caller decides
-// to stop) → Finish (drain remaining windows, park clocks at end — the
-// exact Run semantics) or Close (tear down mid-run, for
-// checkpoint-then-exit). A fleet supports one active session at a time.
+// to stop) → Finish (drain remaining windows, park clocks at end) or Close
+// (tear down mid-run, for checkpoint-then-exit). StartSession(end,
+// workers).Finish() is the one-shot run. A fleet supports one active
+// session at a time.
 type Session struct {
 	f       *Fleet
 	end     sim.Time
@@ -33,9 +33,24 @@ type Session struct {
 	finished bool
 }
 
-// StartSession prepares an incremental run over [0, end]. It spins up the
-// worker pool (workers > 1) exactly as Run does; the pool lives until
-// Finish or Close.
+// StartSession prepares a run of the whole fleet through virtual time
+// [0, end] on the given number of workers. It spins up the worker pool
+// (workers > 1); the pool lives until Finish or Close. Per-host traces are
+// byte-identical for any workers value.
+//
+// The algorithm is conservative-lookahead parallel discrete-event
+// simulation: with L = the fabric's minimum link latency, every message
+// sent at time s is delivered at s+L or later, so all events strictly
+// before now+L are causally independent across hosts. Each Step therefore
+// advances every host to the window horizon on the worker pool, barriers,
+// routes the accumulated cross-host messages serially, and returns — one
+// barrier per window, not per event (see DESIGN.md for why).
+//
+// When L is zero (a zero-latency link exists) the fleet degenerates to
+// deterministic lock-step by timestamp: each Step runs exactly the global
+// minimum pending instant on every host that has it. When the fabric
+// permits no cross-host traffic at all, the first Step runs each host to
+// the end independently.
 func (f *Fleet) StartSession(end sim.Time, workers int) *Session {
 	if workers < 1 {
 		workers = 1
@@ -64,11 +79,11 @@ func (f *Fleet) StartSession(end sim.Time, workers int) *Session {
 }
 
 // Step advances the fleet through exactly one window (one advance+route
-// round) and reports whether more windows remain. The three run modes of
-// Fleet.Run map one-to-one: unbounded fabrics complete in a single Step
-// (there are no barriers to steer at), zero-lookahead fabrics step one
-// global timestamp, and the normal mode steps one lookahead window —
-// including the idle-window jump, which counts as a window like Run's.
+// round) and reports whether more windows remain. Unbounded fabrics
+// complete in a single Step (there are no barriers to steer at),
+// zero-lookahead fabrics step one global timestamp, and the normal mode
+// steps one lookahead window — including the idle-window jump, which
+// counts as a window.
 func (s *Session) Step() bool {
 	if s.done {
 		return false
@@ -131,7 +146,7 @@ func (s *Session) Floor() sim.Time { return s.start }
 
 // Finish drains any remaining windows, parks every clock at the end
 // instant (so idle-time accounting matches a serial Engine.Run(end)),
-// tears the pool down and returns the totals — exactly Run's epilogue.
+// tears the pool down and returns the totals.
 func (s *Session) Finish() RunStats {
 	for s.Step() {
 	}
@@ -165,27 +180,4 @@ func (s *Session) close() RunStats {
 		s.stats.Lost += h.Lost
 	}
 	return s.stats
-}
-
-// Run advances the whole fleet through virtual time [0, end] on the given
-// number of workers and returns run statistics. Per-host traces are
-// byte-identical for any workers value.
-//
-// The algorithm is conservative-lookahead parallel discrete-event
-// simulation: with L = the fabric's minimum link latency, every message
-// sent at time s is delivered at s+L or later, so all events strictly
-// before now+L are causally independent across hosts. Each round therefore
-// advances every host to the window horizon on the worker pool, barriers,
-// routes the accumulated cross-host messages serially, and repeats — one
-// barrier per window, not per event (see DESIGN.md for why). Run is
-// StartSession + Step-to-exhaustion + Finish; use a Session directly to
-// act at the barriers.
-//
-// When L is zero (a zero-latency link exists) the fleet degenerates to
-// deterministic lock-step by timestamp: each round runs exactly the global
-// minimum pending instant on every host that has it. When the fabric
-// permits no cross-host traffic at all, each host simply runs to the end
-// independently.
-func (f *Fleet) Run(end sim.Time, workers int) RunStats {
-	return f.StartSession(end, workers).Finish()
 }

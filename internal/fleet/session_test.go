@@ -16,12 +16,13 @@ func hashTopology() Topology {
 	return top
 }
 
-// TestSessionMatchesRun pins the refactor: stepping a session window by
-// window, at any worker count, is byte-identical to the one-shot Run.
+// TestSessionMatchesRun: stepping a session window by window, at any
+// worker count, is byte-identical to the one-shot serial run
+// (StartSession(end, 1).Finish()).
 func TestSessionMatchesRun(t *testing.T) {
 	const end = sim.Time(2 * sim.Second)
 	ref := hashTopology().Build()
-	refStats := ref.Run(end, 1)
+	refStats := ref.StartSession(end, 1).Finish()
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		f := hashTopology().Build()
 		s := f.StartSession(end, workers)
@@ -34,11 +35,11 @@ func TestSessionMatchesRun(t *testing.T) {
 		}
 		stats := s.Finish()
 		if f.Digest() != ref.Digest() {
-			t.Fatalf("workers=%d: session digest %016x != run digest %016x",
+			t.Fatalf("workers=%d: stepped digest %016x != one-shot digest %016x",
 				workers, f.Digest(), ref.Digest())
 		}
 		if stats.Windows != refStats.Windows || stats.Events != refStats.Events {
-			t.Fatalf("workers=%d: session stats %+v != run stats %+v", workers, stats, refStats)
+			t.Fatalf("workers=%d: stepped stats %+v != one-shot stats %+v", workers, stats, refStats)
 		}
 		if s.Windows() != stats.Windows {
 			t.Fatalf("Windows() %d != stats.Windows %d", s.Windows(), stats.Windows)
@@ -138,8 +139,8 @@ func TestKeyframeVerifies(t *testing.T) {
 		return top.Build()
 	}
 	a, b := build(42), build(42)
-	a.Run(end, 1)
-	b.Run(end, runtime.NumCPU())
+	a.StartSession(end, 1).Finish()
+	b.StartSession(end, runtime.NumCPU()).Finish()
 	ka, kb := a.Keyframe(), b.Keyframe()
 	if len(ka) != len(kb) || len(ka) == 0 {
 		t.Fatalf("keyframe sizes: %d vs %d", len(ka), len(kb))
@@ -153,7 +154,7 @@ func TestKeyframeVerifies(t *testing.T) {
 		}
 	}
 	c := build(43)
-	c.Run(end, 1)
+	c.StartSession(end, 1).Finish()
 	kc := c.Keyframe()
 	same := 0
 	for i := range kc {

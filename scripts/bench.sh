@@ -27,9 +27,10 @@ fi
 go run ./cmd/experiments "${args[@]}" > /dev/null
 
 # Fleet scenario: hosts, cumulative timers, events/sec, wall ms and
-# speedup_vs_workers, merged under the "fleet" key. The run itself enforces
-# digest equality between its workers=1 and workers=N passes (exit 1 on
-# divergence), so a bench regeneration doubles as a determinism check.
+# speedup_vs_workers, merged under the "fleet" key. A plain -fleet run at
+# workers > 1 first runs a workers=1 reference pass and enforces digest
+# equality with it (exit 1 on divergence), so a bench regeneration doubles
+# as a determinism check.
 # Default is a 64-host, 5 s pass so bench.sh stays fast; FLEET_HOSTS=1024
 # FLEET_DURATION=30s reproduces the full datacenter scenario.
 go run ./cmd/experiments -fleet -hosts "${FLEET_HOSTS:-64}" \
@@ -43,11 +44,11 @@ go run ./cmd/experiments -fleet -hosts "${FLEET_HOSTS:-64}" \
 # digest). The steering script exercises every command kind, and the
 # restart at window 60 crosses the checkpoint as a pending command.
 ctl_dir="$(mktemp -d)"
-go run ./cmd/experiments -hosts "${FLEET_HOSTS:-64}" \
+go run ./cmd/experiments -fleet -hosts "${FLEET_HOSTS:-64}" \
 	-fleet-duration "${FLEET_DURATION:-5s}" \
 	-steer "10:spike:*:4:500ms,20:kill:ws-0000,25:policy:*:adaptive,30:coalesce:*:100ms,60:restart:ws-0000" \
 	-stop-window 40 -checkpoint "$ctl_dir/ck.tckp" > /dev/null
-go run ./cmd/experiments -resume "$ctl_dir/ck.tckp" \
+go run ./cmd/experiments -fleet -resume "$ctl_dir/ck.tckp" \
 	-checkpoint "$ctl_dir/ck_end.tckp" -bench "$out" > /dev/null
 rm -rf "$ctl_dir"
 

@@ -83,7 +83,8 @@ go run ./cmd/timerlint -run allocfree,goroutinecapture,magictimeout ./internal/c
 echo "== fleet serial-vs-parallel determinism gate (64 hosts) =="
 # Two separate processes — workers=1 and workers=4 — must print identical
 # fleet digests: per-host traces byte-identical regardless of worker count.
-# (Each multi-worker run also self-checks in-process; this gate additionally
+# (Each plain multi-worker run also self-checks in-process against a
+# workers=1 reference pass and exits 1 on divergence; this gate additionally
 # pins serial-only against parallel across process boundaries.)
 fleet_args=(-fleet -hosts 64 -fleet-duration 2s)
 d1="$(go run ./cmd/experiments "${fleet_args[@]}" -fleet-workers 1 | grep '^fleet digest:' | cut -d' ' -f3)"
@@ -97,21 +98,21 @@ echo "fleet digest $d1 identical at workers=1 and workers=4"
 echo "== command-replay determinism gate (steered run == recorded replay) =="
 # A steered run's recorded command log, replayed from seed in separate
 # processes at two other worker counts (1 and 8), must land on the
-# identical control digest. At the default size that digest must also be
+# identical fleet digest. At the default size that digest must also be
 # the pinned golden be705190bd09bb32 (1024 hosts, 1 s, seed 7, steered).
 # CONTROL_HOSTS sizes the fleet (default 1024 — the acceptance scale; the
 # whole four-run gate pair takes ~12 s on a 2-core machine).
 ctl_dir="$(mktemp -d)"
-ctl_args=(-hosts "${CONTROL_HOSTS:-1024}" -fleet-duration 1s -seed 7)
+ctl_args=(-fleet -hosts "${CONTROL_HOSTS:-1024}" -fleet-duration 1s -seed 7)
 steer_script="10:spike:*:4:200ms,20:kill:ws-0000,25:policy:*:adaptive,30:coalesce:*:100ms,60:restart:ws-0000"
 go build -o "$ctl_dir/experiments" ./cmd/experiments
 c1="$("$ctl_dir/experiments" "${ctl_args[@]}" -steer "$steer_script" \
 	-record-commands "$ctl_dir/cmds.tcmd" -fleet-workers 4 \
-	| grep '^control digest:' | cut -d' ' -f3)"
+	| grep '^fleet digest:' | cut -d' ' -f3)"
 c2="$("$ctl_dir/experiments" "${ctl_args[@]}" -replay-commands "$ctl_dir/cmds.tcmd" \
-	-fleet-workers 1 | grep '^control digest:' | cut -d' ' -f3)"
+	-fleet-workers 1 | grep '^fleet digest:' | cut -d' ' -f3)"
 c3="$("$ctl_dir/experiments" "${ctl_args[@]}" -replay-commands "$ctl_dir/cmds.tcmd" \
-	-fleet-workers 8 | grep '^control digest:' | cut -d' ' -f3)"
+	-fleet-workers 8 | grep '^fleet digest:' | cut -d' ' -f3)"
 if [[ -z "$c1" || "$c1" != "$c2" || "$c1" != "$c3" ]]; then
 	echo "COMMAND REPLAY NONDETERMINISM: steered '$c1' vs replay-w1 '$c2' vs replay-w8 '$c3'" >&2
 	rm -rf "$ctl_dir"
@@ -122,7 +123,7 @@ if [[ -z "${CONTROL_HOSTS:-}" && "$c1" != "be705190bd09bb32" ]]; then
 	rm -rf "$ctl_dir"
 	exit 1
 fi
-echo "control digest $c1 identical for steered run and both replays"
+echo "fleet digest $c1 identical for steered run and both replays"
 
 echo "== checkpoint-resume digest gate (interrupted run == uninterrupted) =="
 # The same steered run interrupted at window 40, checkpointed, and resumed
@@ -132,14 +133,14 @@ echo "== checkpoint-resume digest gate (interrupted run == uninterrupted) =="
 # per-host keyframe is a hard error before the run even continues.
 "$ctl_dir/experiments" "${ctl_args[@]}" -steer "$steer_script" \
 	-stop-window 40 -checkpoint "$ctl_dir/ck.tckp" -fleet-workers 4 > /dev/null
-c4="$("$ctl_dir/experiments" -resume "$ctl_dir/ck.tckp" -fleet-workers 2 \
-	| grep '^control digest:' | cut -d' ' -f3)"
+c4="$("$ctl_dir/experiments" -fleet -resume "$ctl_dir/ck.tckp" -fleet-workers 2 \
+	| grep '^fleet digest:' | cut -d' ' -f3)"
 rm -rf "$ctl_dir"
 if [[ -z "$c4" || "$c4" != "$c1" ]]; then
 	echo "CHECKPOINT RESUME DIVERGENCE: resumed digest '$c4' != uninterrupted '$c1'" >&2
 	exit 1
 fi
-echo "control digest $c4 identical for checkpoint-resumed and uninterrupted runs"
+echo "fleet digest $c4 identical for checkpoint-resumed and uninterrupted runs"
 
 echo "== live-service loopback gate (serve ingest == offline timerstat) =="
 # End-to-end determinism across the network path: start timerstat -serve on
