@@ -15,7 +15,7 @@ import (
 	"timerstudy/internal/sim"
 )
 
-// Steering input for the -fleet driver: the -steer script parser and the
+// Steering input for -fleet runs: the -steer script parser and the
 // -poll client that lets a timerstat -serve dashboard stage commands.
 
 // parseSteer turns the -steer spec into commands. Format, comma-separated:

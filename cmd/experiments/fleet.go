@@ -20,7 +20,7 @@ import (
 // a datacenter of them — 1/8 webservers, the rest desktops, exchanging
 // request traffic over the netsim fabric, advanced in parallel with
 // conservative-lookahead windows — under the deterministic control plane.
-// One driver serves every variant: plain, steered (-steer, -poll),
+// One code path serves every variant: plain, steered (-steer, -poll),
 // recorded (-record-commands), replayed (-replay-commands), interrupted
 // (-checkpoint -stop-window) and resumed (-resume). Every completed run
 // prints one "fleet digest:" line the check.sh gates compare: a replayed

@@ -31,7 +31,8 @@ func checkScript(t *testing.T, p *Plane) {
 // TestGoldenDigests pins the fleet digests the experiments CLI prints for
 // `-fleet -hosts 64 -fleet-duration 2s` (64 hosts split 8 webservers + 56
 // desktops), unsteered and under the check.sh steering script. A change
-// to any of them means the simulation itself changed, not just its driver.
+// to any of them means the simulation itself changed, not just the CLI
+// around it.
 func TestGoldenDigests(t *testing.T) {
 	spec := func(seed int64) Spec {
 		return Spec{Webservers: 8, Desktops: 56, Seed: seed, End: 2 * sim.Second}
