@@ -22,6 +22,11 @@ type Fleet struct {
 	// jobs feeds the persistent worker pool; nil while no session is active
 	// or when running with one worker.
 	jobs chan func()
+	// horizon is the current window's end, written by advanceAll before
+	// the fan-out and only read by the workers; advanceFn is
+	// f.advanceHost bound once, so a window allocates no closure.
+	horizon   sim.Time
+	advanceFn func(i int)
 	// active guards against overlapping sessions.
 	active bool
 }
@@ -52,7 +57,9 @@ func New(fabric *netsim.Fabric) *Fleet {
 	if !fabric.Frozen() {
 		panic("fleet: fabric must be frozen before New")
 	}
-	return &Fleet{fabric: fabric, byName: map[string]int{}}
+	f := &Fleet{fabric: fabric, byName: map[string]int{}}
+	f.advanceFn = f.advanceHost
+	return f
 }
 
 // AddHost creates a host with its own engine (seeded independently), kernel
@@ -144,16 +151,23 @@ func (f *Fleet) each(workers int, fn func(i int)) {
 
 // advanceAll moves every host's engine up to (strictly before) horizon in
 // parallel and returns the total events executed.
+//
+//lint:allocfree the per-window advance: the pre-bound advanceFn over every host
 func (f *Fleet) advanceAll(workers int, horizon sim.Time) uint64 {
-	f.each(workers, func(i int) {
-		h := f.hosts[i]
-		h.windowExecuted = h.Eng.AdvanceUntil(horizon)
-	})
+	f.horizon = horizon
+	f.each(workers, f.advanceFn)
 	var total uint64
 	for _, h := range f.hosts {
 		total += uint64(h.windowExecuted)
 	}
 	return total
+}
+
+// advanceHost runs host i's engine up to (strictly before) f.horizon. It
+// touches only host i's state; each worker calls it on distinct indices.
+func (f *Fleet) advanceHost(i int) {
+	h := f.hosts[i]
+	h.windowExecuted = h.Eng.AdvanceUntil(f.horizon)
 }
 
 // route is the serial barrier phase: drain every outbox into the
@@ -162,6 +176,8 @@ func (f *Fleet) advanceAll(workers int, horizon sim.Time) uint64 {
 // returns the number of messages moved. Messages addressed to a down host
 // (Host.Kill) are dropped here and counted against the destination's Lost —
 // the wire reached the machine, the machine was off.
+//
+//lint:allocfree outbox drain into staged queues that keep their capacity
 func (f *Fleet) route() int {
 	moved := 0
 	for _, h := range f.hosts {

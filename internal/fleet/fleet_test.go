@@ -159,3 +159,33 @@ func ExampleTopology() {
 	fmt.Println(stats.Bounded, stats.Sent > 0, stats.Delivered > 0)
 	// Output: true true true
 }
+
+// TestSteadyStateAllocsPerEvent bounds the fleet's garbage once warm: after
+// the pools, freelists and queues have reached their working size, the
+// remaining allocations per engine event are the kernel select path's
+// Pending and callbacks (about 0.6 per event). A per-request closure or
+// request struct in either host model would push it well past the bound.
+// Run under -count=1 in CI (scripts/check.sh) so a regression fails.
+func TestSteadyStateAllocsPerEvent(t *testing.T) {
+	f := Topology{Webservers: 4, Desktops: 12, Seed: 1}.Build()
+	s := f.StartSession(sim.Time(2*sim.Second), 1)
+	defer s.Close()
+	for s.Floor() < sim.Time(500*sim.Millisecond) && s.Step() {
+	}
+	events0 := s.stats.Events
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for s.Step() {
+	}
+	runtime.ReadMemStats(&m1)
+	events := s.stats.Events - events0
+	if events < 10000 {
+		t.Fatalf("only %d events measured", events)
+	}
+	perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(events)
+	t.Logf("%d events, %.3f allocs/event", events, perEvent)
+	if perEvent > 0.8 {
+		t.Errorf("steady state allocates %.3f objects per event, want <= 0.8", perEvent)
+	}
+}

@@ -143,6 +143,8 @@ func (h *Host) Steer(d Directive) bool {
 // Because path latency is never below the fabric's MinLatency, DeliverAt
 // lands at or beyond the current window's horizon — which is exactly the
 // conservative-lookahead invariant that lets hosts advance in parallel.
+//
+//lint:allocfree path lookup, rng draws and an append to an outbox that keeps its capacity
 func (h *Host) Send(dst int, kind uint8, id uint64, size int) bool {
 	f := h.fleet
 	cfg := f.fabric.PathFor(h.Name, f.hosts[dst].Name)
@@ -175,6 +177,8 @@ func (h *Host) Send(dst int, kind uint8, id uint64, size int) bool {
 // deliver pops the head of the sorted pending queue and hands it to the
 // model. It is the body of deliverFn and runs as an engine event at the
 // message's DeliverAt.
+//
+//lint:allocfree queue pop plus the model's OnMessage
 func (h *Host) deliver() {
 	m := h.inbox[h.inboxHead]
 	h.inboxHead++
@@ -188,6 +192,8 @@ func (h *Host) deliver() {
 // directly — every DeliverAt is at or beyond the window horizon, and the
 // host's clock stopped at its last executed event strictly before the
 // horizon, so At never sees a past time.
+//
+//lint:allocfree one pre-bound delivery event per message, then an in-place merge
 func (h *Host) mergeStaged() {
 	if len(h.staged) == 0 {
 		return

@@ -21,8 +21,23 @@ import (
 // watchdog, service delay, occasional disk I/O.
 type webserverModel struct {
 	serviceMean sim.Duration
-	watchPool   []*jiffies.Timer
-	nreq        uint64
+	// free holds idle request structs for reuse, like the slab-recycled
+	// request structures (and the watchdog timer each embeds) of a real
+	// server: a request costs no allocation once the pool is warm.
+	free []*webRequest
+	nreq uint64
+}
+
+// webRequest is one accepted request's state. Its watchdog timer and both
+// callbacks are bound once, when the struct is first allocated.
+type webRequest struct {
+	w       *webserverModel
+	h       *Host
+	wd      *jiffies.Timer
+	src     int
+	id      uint64
+	expired bool   // the watchdog fired: the request was aborted
+	serveFn func() // r.serve, bound once
 }
 
 func newWebserverModel(serviceMean sim.Duration) *webserverModel {
@@ -37,36 +52,54 @@ func (w *webserverModel) Boot(h *Host) {
 	h.Kit.SelectLoop(h.Kern.NewProcess("apache"), serverSelectTimeout, 3*serverSelectTimeout)
 }
 
+// newRequest takes an idle request struct from the pool, allocating one
+// (and initialising its watchdog timer) only when the pool is empty.
+//
+//lint:allocfree a pool pop; the grow-on-empty below is the cold path
+func (w *webserverModel) newRequest(h *Host) *webRequest {
+	if n := len(w.free); n > 0 {
+		r := w.free[n-1]
+		w.free = w.free[:n-1]
+		return r
+	}
+	//lint:ignore allocfree cold path: the pool grows only to the high-water mark of concurrent requests
+	r := &webRequest{w: w, h: h}
+	//lint:ignore allocfree cold path: one watchdog timer and callback per pooled request, never per request
+	r.wd = h.Kern.KernelTimer("kernel/tcp:request-watchdog", func() { r.expired = true })
+	//lint:ignore allocfree cold path: the service callback is bound once per pooled request
+	r.serveFn = r.serve
+	return r
+}
+
+//lint:allocfree request accept: pooled state, watchdog arm, pre-bound service callback
 func (w *webserverModel) OnMessage(h *Host, m Message) {
 	if m.Kind != MsgRequest {
 		return
 	}
 	w.nreq++
 	// Request watchdog: armed per accepted request, canceled when the
-	// response goes out. Timer structs are slab-recycled like the request
-	// structures holding them.
-	var wd *jiffies.Timer
-	if n := len(w.watchPool); n > 0 {
-		wd = w.watchPool[n-1]
-		w.watchPool = w.watchPool[:n-1]
-	} else {
-		wd = h.Kern.KernelTimer("kernel/tcp:request-watchdog", nil)
-	}
-	expired := false
-	wd.SetCallback(func() { expired = true }) // request aborted
-	h.Kern.Base().ModTimeout(wd, serverRequestWatchdog)
+	// response goes out.
+	r := w.newRequest(h)
+	r.src, r.id, r.expired = int(m.Src), m.ID, false
+	h.Kern.Base().ModTimeout(r.wd, serverRequestWatchdog)
 
 	if w.nreq%serverDiskEvery == 0 {
 		h.Kit.DiskIO()
 	}
-	src, id := int(m.Src), m.ID
-	h.Eng.After(h.Kit.Exp(w.serviceMean), "httpd:service", func() {
-		if !expired {
-			_ = h.Kern.Base().Del(wd)
-			h.Send(src, MsgResponse, id, responseSize)
-		}
-		w.watchPool = append(w.watchPool, wd)
-	})
+	h.Eng.After(h.Kit.Exp(w.serviceMean), "httpd:service", r.serveFn)
+}
+
+// serve ends the service delay: unless the watchdog aborted the request,
+// it cancels the watchdog and sends the response. The struct then returns
+// to the pool.
+//
+//lint:allocfree watchdog cancel, one send, one pool push
+func (r *webRequest) serve() {
+	if !r.expired {
+		_ = r.h.Kern.Base().Del(r.wd)
+		r.h.Send(r.src, MsgResponse, r.id, responseSize)
+	}
+	r.w.free = append(r.w.free, r)
 }
 
 // client is one desktop request loop: a thread that thinks, sends a
@@ -81,6 +114,11 @@ type client struct {
 	tries   int
 	waiting bool
 	sentAt  sim.Time // first send of the current request (RTT sampling)
+
+	// The loop's two continuations, bound once in Boot: the end of a
+	// think pause starts a request, and the select's return ends one.
+	requestFn func()
+	selectFn  func(kernel.SelectResult)
 }
 
 // desktopModel drives clients against the webserver index range
@@ -120,6 +158,8 @@ func (d *desktopModel) Boot(h *Host) {
 		c.retrans = h.Kern.KernelTimer("kernel/tcp:retransmit", func() {
 			d.retransmit(h, c)
 		})
+		c.requestFn = func() { d.request(h, c) }
+		c.selectFn = func(r kernel.SelectResult) { d.selected(h, c, r) }
 		d.clients = append(d.clients, c)
 		d.think(h, c, d.thinkMean)
 	}
@@ -128,15 +168,21 @@ func (d *desktopModel) Boot(h *Host) {
 // think schedules the next request after an exponential pause. While a
 // DirSpike is active the pause shrinks by the spike factor, multiplying
 // the request rate.
+//
+//lint:allocfree one engine event with the client's pre-bound requestFn
 func (d *desktopModel) think(h *Host, c *client, mean sim.Duration) {
 	if d.spikeDiv > 1 && h.Eng.Now() < d.spikeUntil {
 		if mean /= sim.Duration(d.spikeDiv); mean <= 0 {
 			mean = 1
 		}
 	}
-	h.Eng.After(h.Kit.Exp(mean), "browser:think", func() { d.request(h, c) })
+	h.Eng.After(h.Kit.Exp(mean), "browser:think", c.requestFn)
 }
 
+// request sends one request, arms the retransmit timer and blocks the
+// client in select on the request timeout.
+//
+//lint:allocfree send, two timer arms and a select with the pre-bound selectFn; the select's own Pending is the kernel's
 func (d *desktopModel) request(h *Host, c *client) {
 	if d.webservers == 0 {
 		return
@@ -153,17 +199,23 @@ func (d *desktopModel) request(h *Host, c *client) {
 	// The titular 30 seconds: armed on every request, nearly always
 	// canceled by the response long before it could fire. Under
 	// PolicyAdaptive the deadline tracks the RTT estimator instead.
-	c.pending = c.th.Select(d.requestTimeout(), func(r kernel.SelectResult) {
-		mean := d.thinkMean
-		if r.TimedOut {
-			// Deadline reached with no response: tear down and back off.
-			delete(d.inflight, c.reqID)
-			c.waiting = false
-			_ = h.Kern.Base().Del(c.retrans)
-			mean += clientGiveUpThink
-		}
-		d.think(h, c, mean)
-	})
+	c.pending = c.th.Select(d.requestTimeout(), c.selectFn)
+}
+
+// selected continues the client loop when its select returns: a response
+// woke it early, or the deadline passed with none.
+//
+//lint:allocfree map delete, timer cancel and the next think
+func (d *desktopModel) selected(h *Host, c *client, r kernel.SelectResult) {
+	mean := d.thinkMean
+	if r.TimedOut {
+		// Deadline reached with no response: tear down and back off.
+		delete(d.inflight, c.reqID)
+		c.waiting = false
+		_ = h.Kern.Base().Del(c.retrans)
+		mean += clientGiveUpThink
+	}
+	d.think(h, c, mean)
 }
 
 // retransmit re-sends the outstanding request (packet or response lost, or
@@ -179,6 +231,7 @@ func (d *desktopModel) retransmit(h *Host, c *client) {
 	h.Kern.Base().ModTimeout(c.retrans, clientRetransmitTimeout)
 }
 
+//lint:allocfree response match: map lookup and delete, timer cancel, select wake-up
 func (d *desktopModel) OnMessage(h *Host, m Message) {
 	if m.Kind != MsgResponse {
 		return

@@ -104,11 +104,13 @@ type Base struct {
 	nohz  bool
 
 	tickEv sim.Event
-	tickFn func() // b.tick bound once; a method value would allocate per arm
+	tickFn func()                  // b.tick bound once; a method value would allocate per arm
+	fireFn func(*timerwheel.Timer) // b.fire bound once, for the same reason
 	nextID uint64
 
 	// nextHeap tracks pending non-deferrable expiries for the dynticks
 	// next-event computation; entries are validated lazily against gen.
+	// Only a NO_HZ base reads it, so only a NO_HZ base fills it.
 	nextHeap expiryHeap
 
 	// RunningTimers counts __run_timers invocations that fired at least one
@@ -122,11 +124,15 @@ type Base struct {
 // starts its tick. The buffer must not be nil (use a zero-capacity buffer to
 // discard records).
 func NewBase(eng *sim.Engine, tr trace.Sink, opts ...Option) *Base {
-	b := &Base{eng: eng, tr: tr, wheel: timerwheel.NewHierarchicalWheel()}
+	b := &Base{eng: eng, tr: tr}
 	for _, o := range opts {
 		o(b)
 	}
+	if b.wheel == nil {
+		b.wheel = timerwheel.NewHierarchicalWheel()
+	}
 	b.tickFn = b.tick
+	b.fireFn = b.fire
 	b.scheduleTick(b.eng.Now().Add(JiffyDuration))
 	return b
 }
@@ -231,15 +237,18 @@ func (t *Timer) flags() trace.Flags {
 // As in the kernel, callers compute the absolute expiry themselves — which
 // is exactly where the paper's observed up-to-2 ms timeout jitter comes
 // from, since the computation happens partway through a jiffy.
+//
+//lint:allocfree the mod_timer path: wheel insert plus one trace record; the dynticks heap grows only under NO_HZ
 func (b *Base) Mod(t *Timer, expires uint64) {
 	if t.state == StateUninit {
+		//lint:ignore allocfree panic formatting runs once, on a programming error, never in steady state
 		panic(fmt.Sprintf("jiffies: mod_timer on uninitialized timer %q", t.Origin))
 	}
 	t.gen++
 	t.state = StatePending
 	b.wheel.Schedule(&t.entry, expires)
 	t.entry.Payload = t
-	if !t.Deferrable {
+	if b.nohz && !t.Deferrable {
 		b.pushNext(t)
 	}
 	// The traced timeout is relative to *now*, as the instrumentation in
@@ -263,8 +272,11 @@ func (b *Base) ModTimeout(t *Timer, d sim.Duration) {
 // Del is del_timer: cancel the timer if pending. Calling it on an idle timer
 // is explicitly legal (the paper observed repeated deletions of
 // already-deleted timers) and is still logged as an access.
+//
+//lint:allocfree the del_timer path: wheel unlink plus one trace record
 func (b *Base) Del(t *Timer) bool {
 	if t.state == StateUninit {
+		//lint:ignore allocfree panic formatting runs once, on a programming error, never in steady state
 		panic(fmt.Sprintf("jiffies: del_timer on uninitialized timer %q", t.Origin))
 	}
 	t.gen++
@@ -284,23 +296,32 @@ func (b *Base) Del(t *Timer) bool {
 
 // runTimers is __run_timers: called from the tick interrupt, fires all
 // expired callbacks in bottom-half context.
+//
+//lint:allocfree one wheel advance with the pre-bound fireFn
 func (b *Base) runTimers() {
-	b.wheel.Advance(b.jiffy, func(e *timerwheel.Timer) {
-		t := e.Payload.(*Timer)
-		t.gen++
-		t.state = StateIdle
-		b.ExpiredCount++
-		if !t.Quiet {
-			b.tr.Log(trace.Record{
-				T: b.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
-				PID: t.PID, Origin: t.originID, Flags: t.flags(),
-			})
-		}
-		t.fn()
-	})
+	b.wheel.Advance(b.jiffy, b.fireFn)
+}
+
+// fire expires one timer: it logs the expiry and runs the callback.
+//
+//lint:allocfree state update, one trace record, then the owner's callback
+func (b *Base) fire(e *timerwheel.Timer) {
+	t := e.Payload.(*Timer)
+	t.gen++
+	t.state = StateIdle
+	b.ExpiredCount++
+	if !t.Quiet {
+		b.tr.Log(trace.Record{
+			T: b.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
+			PID: t.PID, Origin: t.originID, Flags: t.flags(),
+		})
+	}
+	t.fn()
 }
 
 // tick is the periodic timer interrupt.
+//
+//lint:allocfree the tick path: run expired timers, then re-arm the pre-bound tickFn
 func (b *Base) tick() {
 	b.jiffy = TimeToJiffies(b.eng.Now())
 	b.TickCount++

@@ -252,6 +252,63 @@ func TestDeferrableDoesNotWakeIdle(t *testing.T) {
 	}
 }
 
+// TestTickZeroAlloc guards the steady-state tick: a tick that expires a
+// periodic timer, whose callback re-arms it, must not allocate. Run under
+// -count=1 in CI (scripts/check.sh) so a regression fails.
+func TestTickZeroAlloc(t *testing.T) {
+	eng, _, b := newTestBase()
+	tm := &Timer{}
+	fires := 0
+	b.Init(tm, "kernel/periodic", 0, func() {
+		fires++
+		b.Mod(tm, b.Jiffies()+1)
+	})
+	b.Mod(tm, b.Jiffies()+1)
+	// Warm up: the engine's freelist and the trace buffer's storage.
+	eng.Run(eng.Now().Add(100 * JiffyDuration))
+	before := fires
+	if allocs := testing.AllocsPerRun(1000, func() {
+		eng.Run(eng.Now().Add(JiffyDuration))
+	}); allocs != 0 {
+		t.Errorf("tick with expire and re-arm allocates %.1f objects/op, want 0", allocs)
+	}
+	if fires-before < 1000 {
+		t.Fatalf("timer fired %d times over 1001 ticks", fires-before)
+	}
+}
+
+// TestDynticksHeapOnlyUnderNoHZ checks that only a NO_HZ base fills the
+// dynticks next-expiry heap: a periodic base never reads it, so entries
+// there would only pile up as garbage.
+func TestDynticksHeapOnlyUnderNoHZ(t *testing.T) {
+	for _, nohz := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		b := NewBase(eng, trace.NewBuffer(0), WithNoHZ(nohz))
+		tm := &Timer{}
+		b.Init(tm, "kernel/x", 0, func() {})
+		for i := 0; i < 1000; i++ {
+			b.ModTimeout(tm, sim.Duration(i+1)*sim.Millisecond)
+		}
+		if got := len(b.nextHeap); nohz && got == 0 {
+			t.Errorf("NO_HZ base: dynticks heap empty after 1000 Mods")
+		} else if !nohz && got != 0 {
+			t.Errorf("periodic base: dynticks heap holds %d entries after 1000 Mods, want 0", got)
+		}
+	}
+}
+
+// TestWithQueueBuildsNoDefaultWheel checks that NewBase builds its default
+// hierarchical wheel only when no WithQueue option supplies one.
+func TestWithQueueBuildsNoDefaultWheel(t *testing.T) {
+	tr := trace.NewBuffer(0)
+	q := WithQueue(timerwheel.NewHeap())
+	def := testing.AllocsPerRun(100, func() { NewBase(sim.NewEngine(1), tr) })
+	sub := testing.AllocsPerRun(100, func() { NewBase(sim.NewEngine(1), tr, q) })
+	if def-sub != 1 {
+		t.Errorf("NewBase allocates %.0f objects with the default wheel and %.0f with WithQueue, want exactly one fewer", def, sub)
+	}
+}
+
 func TestAlternateWheelBackends(t *testing.T) {
 	for _, q := range []timerwheel.Queue{
 		timerwheel.NewSortedList(), timerwheel.NewHeap(),

@@ -12,11 +12,7 @@ type SortedList struct {
 }
 
 // NewSortedList returns an empty sorted-list queue.
-func NewSortedList() *SortedList {
-	s := &SortedList{}
-	s.list.init()
-	return s
-}
+func NewSortedList() *SortedList { return &SortedList{} }
 
 // Name implements Queue.
 func (s *SortedList) Name() string { return "sorted-list" }
@@ -38,11 +34,11 @@ func (s *SortedList) Schedule(t *Timer, expires uint64) {
 	t.queue = s
 	// Walk from the back: workloads overwhelmingly append near the tail
 	// (new timeouts are later than pending ones), so this is usually O(1).
-	pos := s.list.head.prev
-	for pos != &s.list.head && pos.expires > expires {
+	pos := s.list.last
+	for pos != nil && pos.expires > expires {
 		pos = pos.prev
 	}
-	s.list.insertBefore(t, pos.next)
+	s.list.insertAfter(t, pos)
 	s.n++
 }
 
@@ -61,8 +57,8 @@ func (s *SortedList) Cancel(t *Timer) bool {
 func (s *SortedList) Advance(now uint64, fire func(*Timer)) int {
 	fired := 0
 	for {
-		first := s.list.head.next
-		if first == &s.list.head || first.expires > now {
+		first := s.list.first
+		if first == nil || first.expires > now {
 			break
 		}
 		s.list.remove(first)

@@ -59,56 +59,65 @@ type Queue interface {
 	Name() string
 }
 
-// bucket is an intrusive circular list head used by the wheel variants and
-// the sorted list.
+// bucket is an intrusive list head used by the wheel variants and the
+// sorted list: the first and last entries of a nil-terminated doubly-linked
+// list. The zero value is an empty list, so a wheel's bucket arrays need no
+// initialisation, and each head costs 16 bytes instead of a sentinel Timer.
 type bucket struct {
-	head Timer // sentinel
-	n    int
+	first, last *Timer
 }
-
-func (b *bucket) init() {
-	b.head.next = &b.head
-	b.head.prev = &b.head
-	b.head.bucket = b
-}
-
-func (b *bucket) empty() bool { return b.head.next == &b.head }
 
 // pushBack appends t.
+//
+//lint:allocfree pointer links only
 func (b *bucket) pushBack(t *Timer) {
-	last := b.head.prev
-	t.prev = last
-	t.next = &b.head
-	last.next = t
-	b.head.prev = t
-	t.bucket = b
-	b.n++
+	b.insertAfter(t, b.last)
 }
 
-// insertBefore places t ahead of pos (pos may be the sentinel).
-func (b *bucket) insertBefore(t, pos *Timer) {
-	t.prev = pos.prev
-	t.next = pos
-	pos.prev.next = t
-	pos.prev = t
+// insertAfter places t behind pos, or at the front when pos is nil.
+//
+//lint:allocfree pointer links only
+func (b *bucket) insertAfter(t, pos *Timer) {
+	t.prev = pos
+	if pos == nil {
+		t.next = b.first
+		b.first = t
+	} else {
+		t.next = pos.next
+		pos.next = t
+	}
+	if t.next == nil {
+		b.last = t
+	} else {
+		t.next.prev = t
+	}
 	t.bucket = b
-	b.n++
 }
 
 // remove unlinks t from its bucket.
+//
+//lint:allocfree pointer links only
 func (b *bucket) remove(t *Timer) {
-	t.prev.next = t.next
-	t.next.prev = t.prev
+	if t.prev == nil {
+		b.first = t.next
+	} else {
+		t.prev.next = t.next
+	}
+	if t.next == nil {
+		b.last = t.prev
+	} else {
+		t.next.prev = t.prev
+	}
 	t.next, t.prev, t.bucket = nil, nil, nil
-	b.n--
 }
 
 // popFront removes and returns the first timer, or nil.
+//
+//lint:allocfree pointer links only
 func (b *bucket) popFront() *Timer {
-	if b.empty() {
-		return nil
+	t := b.first
+	if t != nil {
+		b.remove(t)
 	}
-	t := b.head.next
-	b.remove(t)
 	return t
 }

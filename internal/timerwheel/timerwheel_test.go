@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func allQueues() map[string]Queue {
@@ -194,6 +195,18 @@ func TestHierarchicalMaxIntervalCapped(t *testing.T) {
 	}
 	if !q.Cancel(tm) {
 		t.Fatal("cancel failed")
+	}
+}
+
+// TestHierarchicalWheelFootprint pins the wheel's size: every simulated
+// Linux host (one per fleet host) carries one, so its 512 list heads must
+// stay two pointers each; a sentinel Timer per head would make it 45 KB.
+func TestHierarchicalWheelFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(bucket{}); got != 2*unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("bucket is %d B, want two pointers", got)
+	}
+	if got := unsafe.Sizeof(HierarchicalWheel{}); got > 8216 {
+		t.Errorf("HierarchicalWheel is %d B, want <= 8216", got)
 	}
 }
 

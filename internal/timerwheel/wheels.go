@@ -20,15 +20,11 @@ func NewSimpleWheel(horizon int) *SimpleWheel {
 	if horizon < 2 {
 		horizon = 2
 	}
-	w := &SimpleWheel{
+	return &SimpleWheel{
 		buckets:  make([]bucket, horizon),
 		horizon:  uint64(horizon),
 		overflow: NewSortedList(),
 	}
-	for i := range w.buckets {
-		w.buckets[i].init()
-	}
-	return w
 }
 
 // Name implements Queue.
@@ -88,8 +84,8 @@ func (w *SimpleWheel) Advance(now uint64, fire func(*Timer)) int {
 		w.now++
 		// Migrate overflow timers that are now within the horizon.
 		for {
-			first := w.overflow.list.head.next
-			if first == &w.overflow.list.head || first.expires-w.now >= w.horizon {
+			first := w.overflow.list.first
+			if first == nil || first.expires-w.now >= w.horizon {
 				break
 			}
 			first.queue = w.overflow
@@ -131,11 +127,7 @@ func NewHashedWheel(size int) *HashedWheel {
 	for n < size {
 		n <<= 1
 	}
-	w := &HashedWheel{buckets: make([]bucket, n), mask: uint64(n - 1)}
-	for i := range w.buckets {
-		w.buckets[i].init()
-	}
-	return w
+	return &HashedWheel{buckets: make([]bucket, n), mask: uint64(n - 1)}
 }
 
 // Name implements Queue.
@@ -179,7 +171,7 @@ func (w *HashedWheel) Advance(now uint64, fire func(*Timer)) int {
 		b := &w.buckets[w.now&w.mask]
 		// Scan the bucket; due timers fire, the rest stay for a later
 		// revolution.
-		for t := b.head.next; t != &b.head; {
+		for t := b.first; t != nil; {
 			next := t.next
 			if t.expires <= w.now {
 				b.remove(t)

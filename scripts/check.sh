@@ -34,8 +34,12 @@ go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParal
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # Run WITHOUT -race: the race detector instruments allocations and would
 # make AllocsPerRun report false positives.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc' \
-	./internal/sim ./internal/trace ./internal/analysis
+# The jiffies and fleet guards pin the fleet's garbage-free request path: a
+# tick that fires and re-arms allocates nothing, a base without NO_HZ keeps
+# no dynticks heap, a WithQueue base builds no default wheel, and a warm
+# fleet stays under its allocations-per-event bound.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent' \
+	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
@@ -70,9 +74,11 @@ go run ./cmd/timerlint -run rawsink,goroutinecapture,magictimeout ./internal/ser
 echo "== timerlint fleet gates (alloc-free window advance, no shared-state captures) =="
 # The fleet's worker-pool closures and the netsim fabric they read are the
 # two places a shared-state capture would silently break byte-identical
-# traces; goroutinecapture audits them, allocfree covers the per-window
-# advance path.
-go run ./cmd/timerlint -run allocfree,goroutinecapture ./internal/fleet ./internal/netsim
+# traces; goroutinecapture audits them. allocfree covers each host's
+# per-window path: the fleet's advance, route and delivery, the two host
+# models' request loops, the jiffies mod/del/tick/expire path and the
+# timer wheel's list and cascade operations.
+go run ./cmd/timerlint -run allocfree,goroutinecapture ./internal/fleet ./internal/netsim ./internal/jiffies ./internal/timerwheel
 
 echo "== timerlint control gates (window-boundary apply path, bounds provenance) =="
 # The control plane drains commands at the fleet barrier and stores its
