@@ -208,6 +208,8 @@ func (p *Plane) Pending() []Command {
 
 // Advance applies every due command at the current barrier, then steps the
 // session one window. Returns false when the run is complete.
+//
+//lint:allocfree the per-window path: the due-command scan, then one session step
 func (p *Plane) Advance() bool {
 	if p.done {
 		return false
@@ -220,6 +222,8 @@ func (p *Plane) Advance() bool {
 }
 
 // applyDue drains commands whose window has arrived, in Seq order.
+//
+//lint:allocfree an in-place filter of the staged queue; most windows apply nothing
 func (p *Plane) applyDue() {
 	w := uint64(p.session.Windows())
 	rest := p.queue[:0]
@@ -239,6 +243,8 @@ func (p *Plane) applyDue() {
 // apply executes one command at the barrier and records it in the log and
 // the patch feed. Application is deterministic: the command's effect
 // depends only on (virtual state, command), never on wall clock.
+//
+//lint:allocfree per command, not per window: nothing escapes; the log and patch-feed appends grow amortized
 func (p *Plane) apply(c Command) {
 	hosts := p.fleet.Hosts()
 	applied := false

@@ -107,7 +107,7 @@ func (r *webRequest) serve() {
 // retransmit timer running underneath.
 type client struct {
 	th      *kernel.Thread
-	pending *kernel.Pending
+	pending kernel.Pending
 	retrans *jiffies.Timer
 	reqID   uint64
 	dst     int
@@ -182,7 +182,7 @@ func (d *desktopModel) think(h *Host, c *client, mean sim.Duration) {
 // request sends one request, arms the retransmit timer and blocks the
 // client in select on the request timeout.
 //
-//lint:allocfree send, two timer arms and a select with the pre-bound selectFn; the select's own Pending is the kernel's
+//lint:allocfree send, two timer arms and a select with the pre-bound selectFn; the select state lives in the kernel thread
 func (d *desktopModel) request(h *Host, c *client) {
 	if d.webservers == 0 {
 		return

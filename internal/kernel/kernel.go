@@ -36,6 +36,9 @@ type Linux struct {
 	hr      *jiffies.HighRes
 	nextPID int32
 	procs   []*Process
+
+	// freeWakes recycles Pending.CompleteAfter nodes.
+	freeWakes *wake
 }
 
 // NewLinux boots a simulated Linux system. Base options (dynticks, wheel
@@ -99,12 +102,24 @@ type Process struct {
 // Thread is one thread of a process: it owns the per-thread on-stack timer
 // structures used by blocking syscalls, so concurrent select/poll loops in
 // one process (Firefox's event-loop threads) do not share timer identities.
+// A thread is in at most one select and one poll at a time, so the state of
+// each call lives in the thread itself and blocking allocates nothing.
 type Thread struct {
-	p           *Process
-	selectTimer *jiffies.Timer
-	pollTimer   *jiffies.Timer
+	sel, poll blocker
+}
 
-	selOrigin, pollOrigin uint32
+// blocker is one blocking-syscall path of a thread (select or poll): the
+// syscall's on-stack timer plus the state of the call in progress. gen
+// counts calls; a Pending handle names the call it was issued for, so a
+// completion aimed at an earlier call is recognised and dropped.
+type blocker struct {
+	p        *Process
+	timer    jiffies.Timer
+	origin   uint32
+	gen      uint64
+	done     bool // the call of generation gen has returned (or none was made)
+	deadline sim.Time
+	cb       func(SelectResult)
 }
 
 // NewProcess registers a process.
@@ -122,12 +137,19 @@ func (l *Linux) NewProcess(name string) *Process {
 // (process + syscall), as the paper's stack-based attribution groups them,
 // but each thread's syscall timers have their own identity.
 func (p *Process) NewThread() *Thread {
-	t := &Thread{p: p}
-	t.selectTimer = p.quietTimer(p.Name + "/select")
-	t.pollTimer = p.quietTimer(p.Name + "/poll")
-	t.selOrigin = p.l.tr.Origin(p.Name + "/select")
-	t.pollOrigin = p.l.tr.Origin(p.Name + "/poll")
+	t := &Thread{}
+	t.sel.init(p, p.Name+"/select")
+	t.poll.init(p, p.Name+"/poll")
 	return t
+}
+
+// init initializes the path's timer and binds its expiry callback once.
+func (b *blocker) init(p *Process, origin string) {
+	b.p = p
+	b.done = true
+	b.timer.Quiet, b.timer.UserFlagged = true, true
+	p.l.base.Init(&b.timer, origin, p.PID, b.expire)
+	b.origin = p.l.tr.Origin(origin)
 }
 
 // Processes returns all registered processes.
@@ -148,108 +170,185 @@ type SelectResult struct {
 	Remaining sim.Duration
 }
 
-// Pending is an in-progress blocking syscall. The workload completes it
-// early by calling Complete (file-descriptor activity, signal delivery).
+// Pending is a handle to one blocking syscall: the workload completes it
+// early by calling Complete (file-descriptor activity, signal delivery). It
+// is a small value (copy freely) and stale-safe like sim.Event: once the
+// call returns the handle goes stale, Done reports true forever, and
+// Complete is a no-op even after the thread has blocked again. The zero
+// Pending, returned by zero-timeout calls, is stale from the start.
 type Pending struct {
-	done     bool
-	complete func()
+	b   *blocker
+	gen uint64
 }
 
 // Complete finishes the syscall early (fd became ready). Calling it after
-// completion is a no-op, like a wakeup racing a timeout.
-func (w *Pending) Complete() {
-	if w == nil || w.done {
-		return
+// the call returned is a no-op, like a wakeup racing a timeout.
+//
+//lint:allocfree generation check, then the path's complete
+func (w Pending) Complete() {
+	if !w.Done() {
+		w.b.complete()
 	}
-	w.done = true
-	w.complete()
 }
 
 // Done reports whether the syscall already returned.
-func (w *Pending) Done() bool { return w == nil || w.done }
+func (w Pending) Done() bool { return w.b == nil || w.b.gen != w.gen || w.b.done }
+
+// CompleteAfter schedules Complete d from now as one engine event labelled
+// name: the fd activity a workload plans against this particular call. If
+// the call has returned by then, the event does nothing. A zero Pending
+// schedules nothing.
+//
+//lint:allocfree a freelist node whose run is bound once, then one engine event
+func (w Pending) CompleteAfter(d sim.Duration, name string) {
+	if w.b == nil {
+		return
+	}
+	l := w.b.p.l
+	c := l.freeWakes
+	if c != nil {
+		l.freeWakes = c.next
+	} else {
+		//lint:ignore allocfree cold path: the freelist grows only to the high-water mark of scheduled completions
+		c = &wake{l: l}
+		//lint:ignore allocfree cold path: bound once per node, at the same high-water mark
+		c.fn = c.run
+	}
+	c.w = w
+	l.eng.After(d, name, c.fn)
+}
+
+// wake is one scheduled CompleteAfter. Nodes recycle through a freelist on
+// the Linux system, so scheduling fd activity allocates nothing once warm.
+type wake struct {
+	l    *Linux
+	w    Pending
+	fn   func() // run, bound once
+	next *wake
+}
+
+//lint:allocfree freelist push, then Complete on the saved handle
+func (c *wake) run() {
+	w := c.w
+	c.w = Pending{}
+	c.next = c.l.freeWakes
+	c.l.freeWakes = c
+	w.Complete()
+}
 
 // Select issues select(2) on the main thread. The continuation receives
 // either a timeout or the remaining time at fd activity. A nil-timeout
 // (blocking forever) select never touches the timer subsystem; model that
 // by not calling Select at all.
-func (p *Process) Select(timeout sim.Duration, cb func(SelectResult)) *Pending {
+func (p *Process) Select(timeout sim.Duration, cb func(SelectResult)) Pending {
 	return p.main.Select(timeout, cb)
 }
 
 // Poll issues poll(2) on the main thread.
-func (p *Process) Poll(timeout sim.Duration, cb func(SelectResult)) *Pending {
+func (p *Process) Poll(timeout sim.Duration, cb func(SelectResult)) Pending {
 	return p.main.Poll(timeout, cb)
 }
 
 // EpollWait issues epoll_wait(2) on the main thread, sharing the poll
 // path's timer, as in the kernel.
-func (p *Process) EpollWait(timeout sim.Duration, cb func(SelectResult)) *Pending {
+func (p *Process) EpollWait(timeout sim.Duration, cb func(SelectResult)) Pending {
 	return p.main.Poll(timeout, cb)
 }
 
-// Select issues select(2) from this thread.
-func (t *Thread) Select(timeout sim.Duration, cb func(SelectResult)) *Pending {
-	return t.p.sysTimedBlock(t.selectTimer, t.selOrigin, timeout, cb)
+// Select issues select(2) from this thread. A thread blocks in one select
+// at a time: selecting again before the previous call returned panics.
+// cb is kept until the call returns, so a loop that passes the same
+// pre-bound continuation every time blocks without allocating.
+func (t *Thread) Select(timeout sim.Duration, cb func(SelectResult)) Pending {
+	return t.sel.block(timeout, cb)
 }
 
-// Poll issues poll(2) from this thread.
-func (t *Thread) Poll(timeout sim.Duration, cb func(SelectResult)) *Pending {
-	return t.p.sysTimedBlock(t.pollTimer, t.pollOrigin, timeout, cb)
+// Poll issues poll(2) from this thread, under the same one-call-at-a-time
+// contract as Select.
+func (t *Thread) Poll(timeout sim.Duration, cb func(SelectResult)) Pending {
+	return t.poll.block(timeout, cb)
 }
 
-func (p *Process) sysTimedBlock(t *jiffies.Timer, origin uint32, timeout sim.Duration, cb func(SelectResult)) *Pending {
+// block is the shared select/poll syscall path.
+//
+//lint:allocfree two trace records and a timer arm; the call's state lives in the thread
+func (b *blocker) block(timeout sim.Duration, cb func(SelectResult)) Pending {
+	if !b.done {
+		panic("kernel: thread already blocked")
+	}
+	p := b.p
 	l := p.l
 	if timeout < 0 {
 		timeout = 0
 	}
 	// The user record: exact requested value, measured at the syscall.
 	l.tr.Log(trace.Record{
-		T: l.eng.Now(), Op: trace.OpSet, TimerID: t.ID(), Timeout: int64(timeout),
-		PID: p.PID, Origin: origin, Flags: trace.FlagUser,
+		T: l.eng.Now(), Op: trace.OpSet, TimerID: b.timer.ID(), Timeout: int64(timeout),
+		PID: p.PID, Origin: b.origin, Flags: trace.FlagUser,
 	})
 	if timeout == 0 {
 		// Non-blocking poll/select: returns immediately, arming nothing.
 		// The zero "timeout value" still reaches the trace (it dominates
 		// the paper's Figure 6 for Skype), paired with a satisfied cancel.
 		l.tr.Log(trace.Record{
-			T: l.eng.Now(), Op: trace.OpCancel, TimerID: t.ID(),
-			PID: p.PID, Origin: origin, Flags: trace.FlagUser | trace.FlagSatisfied,
+			T: l.eng.Now(), Op: trace.OpCancel, TimerID: b.timer.ID(),
+			PID: p.PID, Origin: b.origin, Flags: trace.FlagUser | trace.FlagSatisfied,
 		})
-		w := &Pending{done: true}
 		cb(SelectResult{TimedOut: true})
-		return w
+		return Pending{}
 	}
-	w := &Pending{}
-	start := l.eng.Now()
-	deadline := start.Add(timeout)
-	t.SetCallback(func() {
-		if w.done {
-			return
-		}
-		w.done = true
-		l.tr.Log(trace.Record{
-			T: l.eng.Now(), Op: trace.OpExpire, TimerID: t.ID(),
-			PID: p.PID, Origin: origin, Flags: trace.FlagUser,
-		})
-		cb(SelectResult{TimedOut: true})
+	b.gen++
+	b.done = false
+	b.deadline = l.eng.Now().Add(timeout)
+	b.cb = cb
+	l.base.ModTimeout(&b.timer, timeout)
+	return Pending{b: b, gen: b.gen}
+}
+
+// finish ends the call in progress and returns its continuation. The path
+// is free again before the continuation runs, so the continuation may
+// block anew.
+func (b *blocker) finish() func(SelectResult) {
+	b.done = true
+	cb := b.cb
+	b.cb = nil
+	return cb
+}
+
+// expire is the timer callback, bound once in init: the timeout elapsed
+// with no fd activity.
+//
+//lint:allocfree one trace record, then the call's continuation
+func (b *blocker) expire() {
+	if b.done {
+		return
+	}
+	l := b.p.l
+	l.tr.Log(trace.Record{
+		T: l.eng.Now(), Op: trace.OpExpire, TimerID: b.timer.ID(),
+		PID: b.p.PID, Origin: b.origin, Flags: trace.FlagUser,
 	})
-	w.complete = func() {
-		_ = l.base.Del(t)
-		l.tr.Log(trace.Record{
-			T: l.eng.Now(), Op: trace.OpCancel, TimerID: t.ID(),
-			PID: p.PID, Origin: origin, Flags: trace.FlagUser | trace.FlagSatisfied,
-		})
-		remaining := deadline.Sub(l.eng.Now())
-		if remaining < 0 {
-			remaining = 0
-		}
-		// Linux rounds the written-back remainder to timer granularity.
-		remaining = sim.Duration(jiffies.MsecsToJiffies(remaining)) * jiffies.JiffyDuration
-		cb(SelectResult{Remaining: remaining})
+	b.finish()(SelectResult{TimedOut: true})
+}
+
+// complete returns the call early: fd activity cancels the timer, and
+// Linux writes the remaining time back.
+//
+//lint:allocfree timer cancel, one trace record, then the call's continuation
+func (b *blocker) complete() {
+	l := b.p.l
+	_ = l.base.Del(&b.timer)
+	l.tr.Log(trace.Record{
+		T: l.eng.Now(), Op: trace.OpCancel, TimerID: b.timer.ID(),
+		PID: b.p.PID, Origin: b.origin, Flags: trace.FlagUser | trace.FlagSatisfied,
+	})
+	remaining := b.deadline.Sub(l.eng.Now())
+	if remaining < 0 {
+		remaining = 0
 	}
-	t.UserFlagged = true
-	l.base.ModTimeout(t, timeout)
-	return w
+	// Linux rounds the written-back remainder to timer granularity.
+	remaining = sim.Duration(jiffies.MsecsToJiffies(remaining)) * jiffies.JiffyDuration
+	b.finish()(SelectResult{Remaining: remaining})
 }
 
 // Nanosleep blocks for the given duration via the hrtimer path (2.6.16+).
@@ -374,20 +473,37 @@ func (pt *PosixTimer) Delete() {
 // thread executing in the kernel installs a timer callback and separately
 // asks the scheduler to block. Drivers and kernel threads use it; the
 // timeout is a kernel access, not a user one.
-func (l *Linux) ScheduleTimeout(origin string, d sim.Duration, cb func(timedOut bool)) *Pending {
-	t := &jiffies.Timer{}
-	w := &Pending{}
-	l.base.Init(t, origin, 0, func() {
-		if w.done {
-			return
-		}
-		w.done = true
-		cb(true)
-	})
-	w.complete = func() {
-		_ = l.base.Del(t)
-		cb(false)
-	}
-	l.base.ModTimeout(t, d)
+func (l *Linux) ScheduleTimeout(origin string, d sim.Duration, cb func(timedOut bool)) *KernelWait {
+	w := &KernelWait{l: l, cb: cb}
+	l.base.Init(&w.t, origin, 0, w.expire)
+	l.base.ModTimeout(&w.t, d)
 	return w
+}
+
+// KernelWait is one ScheduleTimeout sleep. The waker ends it early with
+// Complete.
+type KernelWait struct {
+	l    *Linux
+	t    jiffies.Timer
+	cb   func(timedOut bool)
+	done bool
+}
+
+// Complete wakes the sleeper before its timeout. Calling it after the
+// wait ended is a no-op.
+func (w *KernelWait) Complete() {
+	if w.done {
+		return
+	}
+	w.done = true
+	_ = w.l.base.Del(&w.t)
+	w.cb(false)
+}
+
+func (w *KernelWait) expire() {
+	if w.done {
+		return
+	}
+	w.done = true
+	w.cb(true)
 }

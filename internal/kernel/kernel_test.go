@@ -344,3 +344,85 @@ func TestSelectNegativeTimeoutTreatedAsZero(t *testing.T) {
 		t.Fatalf("recorded %d", tr.Records()[0].Timeout)
 	}
 }
+
+// TestPendingStaleAcrossGenerations: fd activity scheduled against poll N
+// that lands while the thread sits in poll N+1 must not complete N+1, and
+// every handle's Done stays right as the thread's state is reused.
+func TestPendingStaleAcrossGenerations(t *testing.T) {
+	eng, tr, l := newTestLinux()
+	th := l.NewProcess("firefox").NewThread()
+	var results []SelectResult
+	var second Pending
+	first := th.Poll(20*sim.Millisecond, func(r SelectResult) {
+		results = append(results, r)
+		second = th.Poll(sim.Second, func(r SelectResult) { results = append(results, r) })
+	})
+	first.CompleteAfter(50*sim.Millisecond, "fd")
+	eng.Run(sim.Time(60 * sim.Millisecond))
+	if len(results) != 1 || !results[0].TimedOut {
+		t.Fatalf("results = %+v, want poll 1 timed out and poll 2 still blocked", results)
+	}
+	if !first.Done() || second.Done() {
+		t.Fatalf("Done: first=%v second=%v, want true false", first.Done(), second.Done())
+	}
+	first.Complete()
+	if second.Done() {
+		t.Fatal("Complete on poll 1's handle completed poll 2")
+	}
+	eng.Run(sim.Time(2 * sim.Second))
+	if len(results) != 2 || !results[1].TimedOut {
+		t.Fatalf("results = %+v, want poll 2 to time out on its own", results)
+	}
+	if !first.Done() || !second.Done() {
+		t.Fatal("a returned call's handle reports not done")
+	}
+	if c := tr.Counters(); c.ByOp[trace.OpCancel] != 0 {
+		t.Fatalf("stale completions logged %d cancels, want 0", c.ByOp[trace.OpCancel])
+	}
+	var zero Pending
+	zero.Complete()
+	zero.CompleteAfter(sim.Millisecond, "fd")
+	if !zero.Done() || eng.Pending() != 1 { // only the jiffies tick is queued
+		t.Fatalf("zero Pending: done=%v queued=%d", zero.Done(), eng.Pending())
+	}
+}
+
+// TestBlockWhileBlockedPanics: a thread is in at most one select at a time;
+// a second select before the first returns is a programming error, not a
+// silently orphaned call.
+func TestBlockWhileBlockedPanics(t *testing.T) {
+	_, _, l := newTestLinux()
+	p := l.NewProcess("a")
+	p.Select(sim.Second, func(SelectResult) {})
+	defer func() {
+		if r := recover(); r != "kernel: thread already blocked" {
+			t.Fatalf("recovered %v, want the already-blocked panic", r)
+		}
+	}()
+	p.Select(sim.Second, func(SelectResult) {})
+}
+
+// TestSelectZeroAllocSteadyState: once warm, a select completed early by
+// scheduled fd activity and a poll that expires allocate nothing.
+// Run without -race (scripts/check.sh does).
+func TestSelectZeroAllocSteadyState(t *testing.T) {
+	eng, _, l := newTestLinux()
+	th := l.NewProcess("Xorg").NewThread()
+	returned := 0
+	cb := func(SelectResult) { returned++ }
+	cycle := func() {
+		th.Select(50*sim.Millisecond, cb).CompleteAfter(10*sim.Millisecond, "fd")
+		eng.Run(eng.Now().Add(20 * sim.Millisecond))
+		th.Poll(10*sim.Millisecond, cb)
+		eng.Run(eng.Now().Add(30 * sim.Millisecond))
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("select/poll cycle allocates %.2f objects, want 0", allocs)
+	}
+	if want := 2 * (10 + 1001); returned != want {
+		t.Fatalf("%d calls returned, want %d", returned, want)
+	}
+}

@@ -52,6 +52,7 @@ type KTimer struct {
 	period sim.Duration
 	dpc    func()
 	id     uint64
+	wait   *wait // the owning thread's wait, for a thread's dedicated wait timer
 
 	originID uint32
 	origin   string
@@ -85,7 +86,8 @@ type Kernel struct {
 	dynamicTick bool
 	nextDue     dueHeap
 	interruptEv sim.Event
-	interruptFn func() // k.clockInterrupt bound once; arming must not allocate
+	interruptFn func()                  // k.clockInterrupt bound once; arming must not allocate
+	expireFn    func(*timerwheel.Timer) // k.expire bound once; each interrupt passes it to Advance
 
 	// ClockInterrupts counts ISR invocations; ExpiredCount counts fired
 	// timers.
@@ -109,6 +111,7 @@ func NewKernel(eng *sim.Engine, tr trace.Sink, opts ...KernelOption) *Kernel {
 		o(k)
 	}
 	k.interruptFn = k.clockInterrupt
+	k.expireFn = k.expire
 	k.scheduleInterrupt()
 	return k
 }
@@ -290,34 +293,46 @@ func (k *Kernel) retick() {
 // clockInterrupt is the ISR + timer expiry DPC: it pops due timers from the
 // table, signals them, queues their DPCs, re-arms periodic ones, then drains
 // the DPC queue.
+//
+//lint:allocfree one table advance with the pre-bound expireFn, the DPC drain, the next interrupt
 func (k *Kernel) clockInterrupt() {
 	k.ClockInterrupts++
 	tick := uint64(k.eng.Now()) / uint64(ClockInterval)
 	k.inDPC = true
-	k.table.Advance(tick, func(e *timerwheel.Timer) {
-		t := e.Payload.(*KTimer)
-		k.ExpiredCount++
-		k.tr.Log(trace.Record{
-			T: k.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
-			PID: t.pid, Origin: t.originID, Flags: t.flags,
-		})
-		t.signal(k)
-		if t.dpc != nil {
-			k.dpcs = append(k.dpcs, t.dpc)
-		}
-		if t.period > 0 {
-			// Periodic re-arm happens inside the kernel without a fresh
-			// KeSetTimer trace record, matching NT (the expiry DPC re-queues
-			// it); the paper sees one set and many expiries for these.
-			t.due = k.eng.Now().Add(t.period)
-			k.table.Schedule(&t.entry, timeToTick(t.due))
-			t.entry.Payload = t
-			if k.dynamicTick {
-				k.nextDue.push(timeToTick(t.due))
-			}
-		}
-	})
+	k.table.Advance(tick, k.expireFn)
 	k.inDPC = false
 	k.drainDPCs()
 	k.scheduleInterrupt()
+}
+
+// expire fires one due timer inside the clock interrupt.
+//
+//lint:allocfree one trace record, the signal, a DPC queue append and the periodic re-arm
+func (k *Kernel) expire(e *timerwheel.Timer) {
+	t := e.Payload.(*KTimer)
+	k.ExpiredCount++
+	k.tr.Log(trace.Record{
+		T: k.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
+		PID: t.pid, Origin: t.originID, Flags: t.flags,
+	})
+	if w := t.wait; w != nil {
+		// Snapshot which wait this expiry belongs to; its DPC runs only
+		// after the whole interrupt.
+		w.expiredGen = w.gen
+	}
+	t.signal(k)
+	if t.dpc != nil {
+		k.dpcs = append(k.dpcs, t.dpc)
+	}
+	if t.period > 0 {
+		// Periodic re-arm happens inside the kernel without a fresh
+		// KeSetTimer trace record, matching NT (the expiry DPC re-queues
+		// it); the paper sees one set and many expiries for these.
+		t.due = k.eng.Now().Add(t.period)
+		k.table.Schedule(&t.entry, timeToTick(t.due))
+		t.entry.Payload = t
+		if k.dynamicTick {
+			k.nextDue.push(timeToTick(t.due))
+		}
+	}
 }

@@ -332,3 +332,66 @@ func TestNtSetTimerAPC(t *testing.T) {
 		t.Fatal("canceled NT timer delivered its APC")
 	}
 }
+
+// TestStaleWaitDPCExpiresNoLaterWait: a wait whose timer expires in the
+// same clock interrupt that signals its object is satisfied, and its
+// continuation waits again before the interrupt drains the timer's DPC.
+// That DPC belongs to the finished wait and must expire neither a finite
+// nor a Forever re-wait.
+func TestStaleWaitDPCExpiresNoLaterWait(t *testing.T) {
+	for _, rewait := range []sim.Duration{sim.Second, Forever} {
+		eng, _, k := newTestKernel()
+		th := k.NewThread(1, "a")
+		kt := k.NewTimer("driver/signal", 0, false, nil)
+		var results []WaitResult
+		var at []sim.Time
+		th.WaitFor(20*sim.Millisecond, func(r WaitResult) {
+			results, at = append(results, r), append(at, eng.Now())
+			th.WaitFor(rewait, func(r WaitResult) {
+				results, at = append(results, r), append(at, eng.Now())
+			}, NewEvent())
+		}, &kt.Object)
+		// Due at the same clock interrupt as the wait timer, queued behind it.
+		k.SetTimerIn(kt, 20*sim.Millisecond, 0)
+		eng.Run(sim.Time(500 * sim.Millisecond))
+		if len(results) != 1 || results[0] != WaitSatisfied {
+			t.Fatalf("re-wait %v: results %v at %v, want one satisfied wait and the re-wait still blocked", rewait, results, at)
+		}
+		if rewait == Forever {
+			continue
+		}
+		eng.Run(sim.Time(2 * sim.Second))
+		if len(results) != 2 || results[1] != WaitTimeout || at[1].Sub(at[0]) < sim.Second {
+			t.Fatalf("results %v at %v, want the re-wait to time out after its own second", results, at)
+		}
+	}
+}
+
+// TestWaitForZeroAlloc: once warm, a wait satisfied by a signal and a wait
+// that times out allocate nothing. Run without -race (scripts/check.sh does).
+func TestWaitForZeroAlloc(t *testing.T) {
+	eng, _, k := newTestKernel()
+	th := k.NewThread(1, "svc.exe")
+	obj := NewEvent()
+	returned := 0
+	cb := func(WaitResult) { returned++ }
+	signal := func() { k.Signal(obj) }
+	cycle := func() {
+		obj.Reset()
+		th.WaitFor(sim.Second, cb, obj)
+		eng.After(10*sim.Millisecond, "signal", signal)
+		eng.Run(eng.Now().Add(20 * sim.Millisecond))
+		obj.Reset()
+		th.WaitFor(20*sim.Millisecond, cb, obj)
+		eng.Run(eng.Now().Add(50 * sim.Millisecond))
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("wait cycle allocates %.2f objects, want 0", allocs)
+	}
+	if want := 2 * (10 + 1001); returned != want {
+		t.Fatalf("%d waits returned, want %d", returned, want)
+	}
+}

@@ -12,7 +12,16 @@ import (
 type Object struct {
 	signaled  bool
 	autoReset bool
-	waiters   []*wait
+	waiters   []waiter
+	spare     []waiter // signal's second waiter array, empty between signals
+}
+
+// waiter is one entry of an object's waiter list: a thread's wait and the
+// generation it was in when it joined. Threads reuse their wait, so the
+// generation tells a wait that joined the list apart from a later one.
+type waiter struct {
+	w   *wait
+	gen uint64
 }
 
 func (o *Object) init() { o.waiters = nil }
@@ -37,23 +46,30 @@ func (o *Object) Signaled() bool { return o.signaled }
 
 // signal sets the object and satisfies waiters: all of them for
 // manual-reset objects, exactly one (consuming the signal) for auto-reset.
+//
+//lint:allocfree waiter-array swap, then each satisfied wait's continuation
 func (o *Object) signal(k *Kernel) {
 	if o.autoReset {
 		if len(o.waiters) > 0 {
-			w := o.waiters[0]
+			x := o.waiters[0]
 			o.signaled = false
-			w.satisfy(k)
+			x.w.satisfy(k, x.gen)
 			return
 		}
 		o.signaled = true
 		return
 	}
 	o.signaled = true
+	// Satisfy the waiters present now; a continuation that waits on o
+	// again joins a fresh list. The two backing arrays swap, so a manual-
+	// reset event that is waited on in a loop stops allocating once warm.
 	waiters := o.waiters
-	o.waiters = nil
-	for _, w := range waiters {
-		w.satisfy(k)
+	o.waiters, o.spare = o.spare[:0], nil
+	for _, x := range waiters {
+		x.w.satisfy(k, x.gen)
 	}
+	clear(waiters)
+	o.spare = waiters[:0]
 }
 
 // Reset clears the signaled state (ResetEvent).
@@ -76,6 +92,8 @@ const (
 // identity and its dedicated wait KTIMER (Section 2.2: "wait timeouts are
 // implemented using a dedicated KTIMER object in the kernel's thread
 // datastructure and have a fast-path insertion into the kernel timer ring").
+// A thread waits on at most one thing at a time, so the wait's state lives
+// in the thread too and waiting allocates nothing.
 type Thread struct {
 	// PID is the owning process.
 	PID int32
@@ -84,34 +102,42 @@ type Thread struct {
 
 	k         *Kernel
 	waitTimer *KTimer
-	current   *wait
+	w         wait
 }
 
-// NewThread creates a thread with its dedicated wait timer.
+// NewThread creates a thread with its dedicated wait timer, whose expiry
+// DPC is bound once.
 func (k *Kernel) NewThread(pid int32, name string) *Thread {
 	th := &Thread{PID: pid, Name: name, k: k}
-	th.waitTimer = k.NewTimer(name+"/wait", pid, true, nil)
+	th.w.th = th
+	th.waitTimer = k.NewTimer(name+"/wait", pid, true, th.w.timerDPC)
+	th.waitTimer.wait = &th.w
 	return th
 }
 
-// wait is one in-progress timed wait.
+// wait is a thread's in-progress wait. gen counts waits; expiredGen is the
+// gen that was current when a clock interrupt last expired the wait timer,
+// so the timer's DPC, which runs after the whole interrupt, can tell
+// whether the wait it was queued for is still the one in progress.
 type wait struct {
-	th      *Thread
-	objs    []*Object
-	cb      func(WaitResult)
-	done    bool
-	started sim.Time
-	timeout sim.Duration
+	th         *Thread
+	objs       []*Object // the thread's own copy of WaitFor's objects
+	cb         func(WaitResult)
+	active     bool
+	gen        uint64
+	expiredGen uint64
 }
 
-func (w *wait) satisfy(k *Kernel) {
-	if w.done {
+// satisfy ends wait gen because an object it waits on was signaled. A
+// signal that reaches a wait which already ended, or a later wait of the
+// same thread, does nothing.
+//
+//lint:allocfree detach, one timer cancel and trace record, then the continuation
+func (w *wait) satisfy(k *Kernel, gen uint64) {
+	if !w.active || w.gen != gen {
 		return
 	}
-	w.done = true
-	w.detach()
 	th := w.th
-	th.current = nil
 	// Cancel the wait timer; the FlagSatisfied cancel record is how the
 	// Vista instrumentation distinguishes satisfied waits from timeouts.
 	if th.waitTimer.Pending() {
@@ -122,33 +148,41 @@ func (w *wait) satisfy(k *Kernel) {
 		PID: th.PID, Origin: th.waitTimer.originID,
 		Flags: th.waitTimer.flags | trace.FlagSatisfied,
 	})
-	cb := w.cb
-	w.cb = nil
-	cb(WaitSatisfied)
+	w.finish()(WaitSatisfied)
 }
 
-func (w *wait) expire(k *Kernel) {
-	if w.done {
+// timerDPC is the wait timer's expiry DPC. It expires the wait only if the
+// interrupt that fired the timer found this same wait in progress: a wait
+// satisfied earlier in that interrupt may already have been followed by
+// the thread's next wait.
+//
+//lint:allocfree generation check, then the continuation
+func (w *wait) timerDPC() {
+	if !w.active || w.expiredGen != w.gen {
 		return
 	}
-	w.done = true
-	w.detach()
-	w.th.current = nil
-	cb := w.cb
-	w.cb = nil
-	cb(WaitTimeout)
+	w.finish()(WaitTimeout)
 }
 
-// detach removes the wait from all objects' waiter lists.
-func (w *wait) detach() {
+// finish ends the wait and returns its continuation. The thread is free
+// again before the continuation runs, so the continuation may wait anew.
+//
+//lint:allocfree waiter-list removal in place
+func (w *wait) finish() func(WaitResult) {
+	w.active = false
 	for _, o := range w.objs {
 		for i, x := range o.waiters {
-			if x == w {
+			if x.w == w {
 				o.waiters = append(o.waiters[:i], o.waiters[i+1:]...)
 				break
 			}
 		}
 	}
+	clear(w.objs)
+	w.objs = w.objs[:0]
+	cb := w.cb
+	w.cb = nil
+	return cb
 }
 
 // Forever is the "no timeout" sentinel for waits.
@@ -158,9 +192,15 @@ const Forever = sim.Duration(1<<62 - 1)
 // the thread on the objects with a relative timeout, invoking cb exactly
 // once with the outcome. A wait on an already-signaled object completes
 // immediately without arming the timer. The continuation-passing form
-// replaces real blocking: the simulation is event-driven.
+// replaces real blocking: the simulation is event-driven. Waiting again
+// before the previous wait ended panics. cb is kept until the wait ends,
+// so a loop that passes the same pre-bound continuation every time waits
+// without allocating.
+//
+//lint:allocfree the wait fast path: waiter-list appends, one timer insert, one trace record
 func (th *Thread) WaitFor(timeout sim.Duration, cb func(WaitResult), objs ...*Object) {
-	if th.current != nil {
+	w := &th.w
+	if w.active {
 		panic("ktimer: thread already waiting")
 	}
 	k := th.k
@@ -189,10 +229,12 @@ func (th *Thread) WaitFor(timeout sim.Duration, cb func(WaitResult), objs ...*Ob
 		cb(WaitTimeout)
 		return
 	}
-	w := &wait{th: th, objs: objs, cb: cb, started: k.eng.Now(), timeout: timeout}
-	th.current = w
+	w.gen++
+	w.active = true
+	w.cb = cb
+	w.objs = append(w.objs, objs...)
 	for _, o := range objs {
-		o.waiters = append(o.waiters, w)
+		o.waiters = append(o.waiters, waiter{w, w.gen})
 	}
 	if timeout >= Forever {
 		// Infinite waits never touch the timer subsystem.
@@ -204,7 +246,6 @@ func (th *Thread) WaitFor(timeout sim.Duration, cb func(WaitResult), objs ...*Ob
 	// and a boolean indicating whether the wait was satisfied or timed
 	// out" — we log the arming side too, which subsumes it).
 	wt := th.waitTimer
-	wt.dpc = func() { w.expire(k) }
 	wt.due = k.eng.Now().Add(timeout)
 	k.table.Schedule(&wt.entry, timeToTick(wt.due))
 	wt.entry.Payload = wt

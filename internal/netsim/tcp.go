@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 
 	"timerstudy/internal/sim"
 )
@@ -113,7 +112,7 @@ type Stack struct {
 	host string
 
 	listeners map[uint16]func(*Conn)
-	conns     map[string]*Conn // key host:port:port
+	conns     map[connKey]*Conn
 	nextPort  uint16
 
 	arp *arpCache
@@ -137,7 +136,7 @@ func NewStack(n *Network, host string, fac Facility) *Stack {
 	s := &Stack{
 		net: n, fac: fac, host: host,
 		listeners:    map[uint16]func(*Conn){},
-		conns:        map[string]*Conn{},
+		conns:        map[connKey]*Conn{},
 		nextPort:     32768,
 		OriginPrefix: "kernel/tcp",
 	}
@@ -157,8 +156,12 @@ func (s *Stack) Listen(port uint16, accept func(*Conn)) {
 	s.listeners[port] = accept
 }
 
-func connKey(remote string, remotePort, localPort uint16) string {
-	return fmt.Sprintf("%s:%d:%d", remote, remotePort, localPort)
+// connKey identifies a connection within its stack. It is a comparable
+// value, so looking up the connection of every arriving segment builds no
+// string.
+type connKey struct {
+	remote                string
+	remotePort, localPort uint16
 }
 
 type connState uint8
@@ -237,7 +240,7 @@ func (s *Stack) newConn(remote string, remotePort, localPort uint16, server bool
 	c.delackTimer = s.fac.NewTimer(s.OriginPrefix+":delack", c.onDelackTimeout)
 	c.keepaliveTimer = s.fac.NewTimer(s.OriginPrefix+":keepalive", c.onKeepalive)
 	c.persistTimer = s.fac.NewTimer(s.OriginPrefix+":persist", c.onPersist)
-	s.conns[connKey(remote, remotePort, localPort)] = c
+	s.conns[connKey{remote, remotePort, localPort}] = c
 	return c
 }
 
@@ -468,7 +471,7 @@ func (c *Conn) teardown() {
 	c.delackTimer.Release()
 	c.keepaliveTimer.Release()
 	c.persistTimer.Release()
-	delete(c.stack.conns, connKey(c.remote, c.remotePort, c.localPort))
+	delete(c.stack.conns, connKey{c.remote, c.remotePort, c.localPort})
 }
 
 // receive dispatches an incoming packet to ARP or the owning connection.
@@ -491,8 +494,7 @@ func (s *Stack) receive(p Packet) {
 }
 
 func (s *Stack) receiveSegment(from string, seg segment) {
-	key := connKey(from, seg.fromPort, seg.toPort)
-	c, ok := s.conns[key]
+	c, ok := s.conns[connKey{from, seg.fromPort, seg.toPort}]
 	if !ok {
 		if seg.kind == segSYN {
 			if accept, lok := s.listeners[seg.toPort]; lok {

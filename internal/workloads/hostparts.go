@@ -116,32 +116,52 @@ func (k *HostKit) Periodic(origin string, period sim.Duration, body func()) *jif
 // continues with the written-back remainder — the Figure 4 countdown idiom.
 // With activityMean == 0 the select always expires (pure periodic daemon).
 func (k *HostKit) SelectLoop(p *kernel.Process, timeout, activityMean sim.Duration) {
-	var issue func(to sim.Duration)
-	var pending *kernel.Pending
-	issue = func(to sim.Duration) {
-		if to <= 0 {
-			to = timeout
-		}
-		pending = p.Select(to, func(r kernel.SelectResult) {
-			if r.TimedOut || r.Remaining == 0 {
-				// Deadline reached: handle housekeeping, restart at the
-				// programmed constant.
-				issue(timeout)
-				return
-			}
-			// fd activity: service it, re-issue with the remainder.
-			issue(r.Remaining)
-		})
-	}
-	issue(timeout)
+	l := &selectLoop{k: k, p: p, timeout: timeout, activityMean: activityMean}
+	l.selectedFn = l.selected
+	l.issue(timeout)
 	if activityMean > 0 {
-		var activity func()
-		activity = func() {
-			pending.Complete()
-			k.Eng.After(k.Exp(activityMean), p.Name+":activity", activity)
-		}
-		k.Eng.After(k.Exp(activityMean), p.Name+":activity", activity)
+		l.activityName = p.Name + ":activity"
+		l.activityFn = l.activity
+		k.Eng.After(k.Exp(activityMean), l.activityName, l.activityFn)
 	}
+}
+
+// selectLoop is one SelectLoop with its continuations and event name bound
+// once, so a cycle allocates nothing.
+type selectLoop struct {
+	k                     *HostKit
+	p                     *kernel.Process
+	timeout, activityMean sim.Duration
+	activityName          string
+	pending               kernel.Pending
+	selectedFn            func(kernel.SelectResult)
+	activityFn            func()
+}
+
+//lint:allocfree one select with the pre-bound continuation
+func (l *selectLoop) issue(to sim.Duration) {
+	if to <= 0 {
+		to = l.timeout
+	}
+	l.pending = l.p.Select(to, l.selectedFn)
+}
+
+//lint:allocfree re-issues the select
+func (l *selectLoop) selected(r kernel.SelectResult) {
+	if r.TimedOut || r.Remaining == 0 {
+		// Deadline reached: handle housekeeping, restart at the
+		// programmed constant.
+		l.issue(l.timeout)
+		return
+	}
+	// fd activity: service it, re-issue with the remainder.
+	l.issue(r.Remaining)
+}
+
+//lint:allocfree wakes the select, then one engine event for the next activity
+func (l *selectLoop) activity() {
+	l.pending.Complete()
+	l.k.Eng.After(l.k.Exp(l.activityMean), l.activityName, l.activityFn)
 }
 
 // DiskIO models one block-layer request: the 4 ms unplug timer (mostly

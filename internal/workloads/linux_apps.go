@@ -13,40 +13,77 @@ import (
 // (Table 3 rows at 0.004/0.008/0.012 s): fd activity cancels some polls at a
 // uniformly distributed fraction of the timeout; the rest expire.
 func (s *linuxSystem) pollCycler(p *kernel.Process, timeout sim.Duration, cancelProb float64, thinkMean sim.Duration) {
-	th := p.NewThread()
-	var cycle func()
-	cycle = func() {
-		w := th.Poll(timeout, func(kernel.SelectResult) {
-			s.eng.After(s.exp(thinkMean), p.Name+":think", cycle)
-		})
-		if s.rng.Float64() < cancelProb {
-			// Activity arrives somewhere within the timeout window, so
-			// cancels spread evenly over 0-100 % (the Figure 10 cluster).
-			s.eng.After(s.uniform(0, timeout), p.Name+":fd", w.Complete)
-		}
+	c := &pollCycler{
+		s: s, th: p.NewThread(), timeout: timeout, cancelProb: cancelProb, thinkMean: thinkMean,
+		thinkName: p.Name + ":think", fdName: p.Name + ":fd",
 	}
-	cycle()
+	c.cycleFn = c.cycle
+	c.polledFn = c.polled
+	c.cycle()
+}
+
+// pollCycler is one pollCycler loop with its continuations and event names
+// bound once, so a cycle allocates nothing.
+type pollCycler struct {
+	s                  *linuxSystem
+	th                 *kernel.Thread
+	timeout, thinkMean sim.Duration
+	cancelProb         float64
+	thinkName, fdName  string
+	cycleFn            func()
+	polledFn           func(kernel.SelectResult)
+}
+
+//lint:allocfree one poll, and maybe its fd activity, with pre-bound continuations
+func (c *pollCycler) cycle() {
+	w := c.th.Poll(c.timeout, c.polledFn)
+	if c.s.rng.Float64() < c.cancelProb {
+		// Activity arrives somewhere within the timeout window, so
+		// cancels spread evenly over 0-100 % (the Figure 10 cluster).
+		w.CompleteAfter(c.s.uniform(0, c.timeout), c.fdName)
+	}
+}
+
+//lint:allocfree one engine event for the think pause
+func (c *pollCycler) polled(kernel.SelectResult) {
+	c.s.eng.After(c.s.exp(c.thinkMean), c.thinkName, c.cycleFn)
 }
 
 // flashLoop is the soft-real-time render loop of the Flash plugin: one very
 // short poll per frame, value hopping between 1, 2 and 3 jiffies — the
 // unclassifiable short timers of Section 4.1.1.
 func (s *linuxSystem) flashLoop(p *kernel.Process) {
-	th := p.NewThread()
-	values := []sim.Duration{4 * sim.Millisecond, 8 * sim.Millisecond, 12 * sim.Millisecond}
-	var frame func()
-	frame = func() {
-		to := values[s.rng.Intn(len(values))]
-		w := th.Poll(to, func(kernel.SelectResult) {
-			frame()
-		})
-		// Frame-ready events cancel most polls partway through.
-		if s.rng.Float64() < 0.6 {
-			s.eng.After(s.uniform(0, to), p.Name+":frame-ready", w.Complete)
-		}
+	f := &flashLoop{
+		s: s, th: p.NewThread(),
+		values:    []sim.Duration{4 * sim.Millisecond, 8 * sim.Millisecond, 12 * sim.Millisecond},
+		readyName: p.Name + ":frame-ready",
 	}
-	frame()
+	f.polledFn = f.polled
+	f.frame()
 }
+
+// flashLoop is one flashLoop with its continuation and event name bound
+// once.
+type flashLoop struct {
+	s         *linuxSystem
+	th        *kernel.Thread
+	values    []sim.Duration
+	readyName string
+	polledFn  func(kernel.SelectResult)
+}
+
+//lint:allocfree one poll, and maybe its frame-ready activity, with the pre-bound continuation
+func (f *flashLoop) frame() {
+	to := f.values[f.s.rng.Intn(len(f.values))]
+	w := f.th.Poll(to, f.polledFn)
+	// Frame-ready events cancel most polls partway through.
+	if f.s.rng.Float64() < 0.6 {
+		w.CompleteAfter(f.s.uniform(0, to), f.readyName)
+	}
+}
+
+//lint:allocfree the next frame
+func (f *flashLoop) polled(kernel.SelectResult) { f.frame() }
 
 // fetchPage opens HTTP connections from the browser box to a web host and
 // performs transfers, exercising the kernel TCP timers.
@@ -138,13 +175,14 @@ func LinuxSkype(cfg Config) *Result {
 	jitterEst := 20 * sim.Millisecond
 	lastArrival := sim.Time(0)
 	audioTh := sk.NewThread()
-	var pendingAudio *kernel.Pending
+	var pendingAudio kernel.Pending
 	var audio func()
+	audioPolled := func(kernel.SelectResult) { audio() }
 	audio = func() {
 		// Send our own frame out (fire and forget).
 		sys.net.Send(netsim.Packet{From: "testbox", To: peer, Size: 320, Payload: "frame"})
 		to := 20*sim.Millisecond + 2*jitterEst + sim.Duration(sys.rng.Int63n(int64(4*sim.Millisecond)))
-		pendingAudio = audioTh.Poll(to, func(kernel.SelectResult) { audio() })
+		pendingAudio = audioTh.Poll(to, audioPolled)
 	}
 	sys.stack.OnRaw = func(p netsim.Packet) {
 		if p.Payload != "frame" {
@@ -171,11 +209,11 @@ func LinuxSkype(cfg Config) *Result {
 	// sites, as the trace shows).
 	sys.pollCycler(sk, skypeUIPollTimeout, 0.3, 50*sim.Millisecond)
 	halfTh := sk.NewThread()
-	var halfish func()
-	halfish = func() {
-		halfTh.Select(skypeUIPollOddTimeout, func(kernel.SelectResult) { halfish() })
+	var halfish func(kernel.SelectResult)
+	halfish = func(kernel.SelectResult) {
+		halfTh.Select(skypeUIPollOddTimeout, halfish)
 	}
-	halfish()
+	halfish(kernel.SelectResult{})
 
 	// The engine's non-blocking polls: bursts of poll(0).
 	var spin func()

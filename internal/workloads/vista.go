@@ -64,19 +64,39 @@ func (s *vistaSystem) uniform(lo, hi sim.Duration) sim.Duration {
 // satisfied by simulated activity — the expiry-dominated Vista behaviour of
 // Table 2.
 func (s *vistaSystem) waitLoop(th *ktimer.Thread, timeout sim.Duration, satisfyProb float64) {
-	obj := ktimer.NewEvent()
-	var loop func(ktimer.WaitResult)
-	loop = func(ktimer.WaitResult) {
-		obj.Reset()
-		th.WaitFor(timeout, loop, obj)
-		if satisfyProb > 0 && s.rng.Float64() < satisfyProb {
-			s.eng.After(s.uniform(0, timeout), th.Name+":signal", func() {
-				s.k.Signal(obj)
-			})
-		}
+	l := &waitLoop{
+		s: s, th: th, obj: ktimer.NewEvent(), timeout: timeout, satisfyProb: satisfyProb,
+		signalName: th.Name + ":signal",
 	}
-	loop(ktimer.WaitTimeout)
+	l.loopFn = l.loop
+	l.signalFn = l.signal
+	l.loop(ktimer.WaitTimeout)
 }
+
+// waitLoop is one waitLoop with its continuations and event name bound
+// once, so a cycle allocates nothing.
+type waitLoop struct {
+	s           *vistaSystem
+	th          *ktimer.Thread
+	obj         *ktimer.Object
+	timeout     sim.Duration
+	satisfyProb float64
+	signalName  string
+	loopFn      func(ktimer.WaitResult)
+	signalFn    func()
+}
+
+//lint:allocfree one wait, and maybe its satisfying activity, with pre-bound continuations
+func (l *waitLoop) loop(ktimer.WaitResult) {
+	l.obj.Reset()
+	l.th.WaitFor(l.timeout, l.loopFn, l.obj)
+	if l.satisfyProb > 0 && l.s.rng.Float64() < l.satisfyProb {
+		l.s.eng.After(l.s.uniform(0, l.timeout), l.signalName, l.signalFn)
+	}
+}
+
+//lint:allocfree sets the loop's event
+func (l *waitLoop) signal() { l.s.k.Signal(l.obj) }
 
 // vistaIdleWaitValues are the Figure 7 idle/webserver constants background
 // services poll at: round human values plus the clock-granularity oddities
@@ -224,13 +244,14 @@ func VistaIdle(cfg Config) *Result {
 // zeroWaitSpinner issues bursts of zero-timeout waits — the non-blocking
 // polling that puts the 0 bar in Figure 7.
 func (s *vistaSystem) zeroWaitSpinner(th *ktimer.Thread, burst int, mean sim.Duration) {
+	name := th.Name + ":spin"
 	var spin func()
 	spin = func() {
 		n := 1 + s.rng.Intn(burst)
 		for i := 0; i < n; i++ {
 			th.WaitFor(0, func(ktimer.WaitResult) {})
 		}
-		s.eng.After(s.exp(mean), th.Name+":spin", spin)
+		s.eng.After(s.exp(mean), name, spin)
 	}
 	spin()
 }

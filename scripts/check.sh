@@ -37,9 +37,12 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # The jiffies and fleet guards pin the fleet's garbage-free request path: a
 # tick that fires and re-arms allocates nothing, a base without NO_HZ keeps
 # no dynticks heap, a WithQueue base builds no default wheel, and a warm
-# fleet stays under its allocations-per-event bound.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent' \
-	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet
+# fleet stays under its allocations-per-event bound. The kernel and ktimer
+# guards pin the blocking syscalls of both OS personalities: a warm
+# select/poll or WaitFor cycle, completed early or expired, allocates
+# nothing.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc' \
+	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
@@ -59,10 +62,12 @@ go run ./cmd/timerlint ./...
 
 echo "== timerlint allocfree gate (annotated hot paths must have no heap escapes) =="
 # Redundant with the full run above, but asserted separately so an alloc
-# regression on the engine schedule/expire path, the trace encoders, or
-# the analysis per-record fold fails with an
-# unmistakable step name.
-go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/trace ./internal/analysis
+# regression on the engine schedule/expire path, the trace encoders, the
+# analysis per-record fold, the blocking syscalls (kernel select/poll
+# block, expire and complete, the CompleteAfter wake node; ktimer WaitFor,
+# the clock-interrupt expiry and the wait DPC) or the workload loop bodies
+# that drive them fails with an unmistakable step name.
+go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/trace ./internal/analysis ./internal/kernel ./internal/ktimer ./internal/workloads
 
 echo "== timerlint serve gates (stream ingest + producer sink) =="
 # The live service and the HTTP producer sink hold the retry/backoff and
@@ -82,8 +87,10 @@ go run ./cmd/timerlint -run allocfree,goroutinecapture ./internal/fleet ./intern
 
 echo "== timerlint control gates (window-boundary apply path, bounds provenance) =="
 # The control plane drains commands at the fleet barrier and stores its
-# bounds in timeouts.go: allocfree/goroutinecapture audit the apply path,
-# magictimeout audits the registry.
+# bounds in timeouts.go: allocfree audits Plane.Advance, applyDue and the
+# per-command apply (apply's only allocation is the amortized growth of the
+# command log and the patch feed, which escape analysis does not count),
+# goroutinecapture audits the plane, magictimeout audits the registry.
 go run ./cmd/timerlint -run allocfree,goroutinecapture,magictimeout ./internal/control
 
 echo "== fleet serial-vs-parallel determinism gate (64 hosts) =="
