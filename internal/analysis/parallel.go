@@ -140,5 +140,9 @@ func (p Pipeline) RunParallel(src trace.Source, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.report(shards, tracker.max), nil
+	rep := p.report(shards, tracker.max)
+	for _, s := range shards {
+		s.releaseArena()
+	}
+	return rep, nil
 }

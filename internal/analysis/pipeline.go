@@ -3,6 +3,8 @@ package analysis
 import (
 	"cmp"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
@@ -169,6 +171,19 @@ const (
 	timerBlockMask  = timerBlockSize - 1
 )
 
+// timerBlock is one arena block.
+type timerBlock [timerBlockSize]streamTimer
+
+// timerBlocks recycles arena blocks between analyses: Run and RunParallel
+// give their shards' blocks back, cleared, once the report is built, and
+// newTimer takes from here before allocating. It holds *timerBlock, so a
+// Put boxes nothing. Partials keep their blocks for their whole life.
+var timerBlocks sync.Pool
+
+// arenaBlocksMade counts the blocks newTimer had to allocate because the
+// recycler was empty.
+var arenaBlocksMade atomic.Int64
+
 // cluster keys the Section 3.3 (origin, thread) clustering. The key is the
 // resolved origin name, not the numeric ID: IDs are interning-order
 // artifacts of one stream, so merging Partials fed by different producers
@@ -201,7 +216,7 @@ type shard struct {
 
 	// Timer table: creation-order arena blocks indexed through byID.
 	byID    map[uint64]int32
-	blocks  [][]streamTimer
+	blocks  []*timerBlock
 	nTimers int
 
 	// openCount/maxOpen track pending-timer concurrency; exact only when
@@ -245,7 +260,12 @@ func (s *shard) timer(idx int32) *streamTimer {
 // newTimer allocates the next arena slot; the cold path of record.
 func (s *shard) newTimer(id uint64, name string) *streamTimer {
 	if s.nTimers>>timerBlockShift == len(s.blocks) {
-		s.blocks = append(s.blocks, make([]streamTimer, timerBlockSize))
+		b, _ := timerBlocks.Get().(*timerBlock)
+		if b == nil {
+			b = new(timerBlock)
+			arenaBlocksMade.Add(1)
+		}
+		s.blocks = append(s.blocks, b)
 	}
 	idx := int32(s.nTimers)
 	s.nTimers++
@@ -253,6 +273,16 @@ func (s *shard) newTimer(id uint64, name string) *streamTimer {
 	t := s.timer(idx)
 	t.originName = name
 	return t
+}
+
+// releaseArena clears the shard's used arena slots and gives its blocks to
+// the recycler. The shard must not record or fold afterwards.
+func (s *shard) releaseArena() {
+	for i, b := range s.blocks {
+		clear(b[:min(timerBlockSize, s.nTimers-i*timerBlockSize)])
+		timerBlocks.Put(b)
+	}
+	s.blocks, s.nTimers = nil, 0
 }
 
 // resolveOrigin resolves an origin ID through a chunk snapshot when one is
@@ -276,7 +306,6 @@ func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 	if idx, ok := s.byID[r.TimerID]; ok {
 		t = s.timer(idx)
 	} else {
-		//lint:ignore allocfree cold path inlined from newTimer: a timer's first record may grow the arena (one make per 512 timers), amortized to ~0 in allocs_per_record
 		t = s.newTimer(r.TimerID, resolveOrigin(origins, src, r.Origin))
 	}
 	if r.Flags&trace.FlagUser != 0 {
@@ -572,5 +601,7 @@ func (p Pipeline) Run(src trace.Source) (*Report, error) {
 		return nil, err
 	}
 	sh.fold()
-	return p.report([]*shard{sh}, sh.maxOpen), nil
+	rep := p.report([]*shard{sh}, sh.maxOpen)
+	sh.releaseArena()
+	return rep, nil
 }

@@ -180,6 +180,26 @@ func (k *Kernel) NewTimer(origin string, pid int32, user bool, dpc func()) *KTim
 	return t
 }
 
+// RenewTimer gives an idle timer object the identity NewTimer would give a
+// fresh allocation: the next ID, the origin interned now, the PID and
+// user flag, no signaled state. The DPC binding is kept. It lets a caller
+// that drops and reallocates KTIMERs reuse the Go object without changing
+// a trace record.
+func (k *Kernel) RenewTimer(t *KTimer, origin string, pid int32, user bool) {
+	if t.Pending() {
+		panic("ktimer: RenewTimer on a pending timer")
+	}
+	k.nextID++
+	*t = KTimer{
+		k: k, dpc: t.dpc, id: k.nextID,
+		origin: origin, originID: k.tr.Origin(origin), pid: pid,
+	}
+	if user {
+		t.flags = trace.FlagUser
+	}
+	t.Object.init()
+}
+
 // SetTimer is KeSetTimer(Ex): arm the timer for an absolute due time with an
 // optional recurring period. Re-setting a pending timer moves it. The
 // signaled state resets, as for the real dispatcher object.

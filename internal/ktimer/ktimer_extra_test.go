@@ -274,3 +274,38 @@ func TestKTimerAgainstReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRenewTimerIsAFreshIdentity pins RenewTimer against NewTimer: a
+// renewed object takes the next ID, interns its new origin, keeps its DPC
+// and fires as the fresh timer would; renewing a pending timer panics.
+func TestRenewTimerIsAFreshIdentity(t *testing.T) {
+	eng, tr, k := newTestKernel()
+	fires := 0
+	kt := k.NewTimer("tcp/retransmit", 0, false, func() { fires++ })
+	k.SetTimerIn(kt, 20*sim.Millisecond, 0)
+	eng.Run(sim.Time(100 * sim.Millisecond))
+	first := kt.ID()
+
+	k.RenewTimer(kt, "tcp/delack", 7, true)
+	if fresh := k.NewTimer("x", 0, false, nil); kt.ID() != first+1 || fresh.ID() != first+2 {
+		t.Fatalf("renewed ID %d, next fresh ID %d; want %d, %d", kt.ID(), fresh.ID(), first+1, first+2)
+	}
+	k.SetTimerIn(kt, 20*sim.Millisecond, 0)
+	eng.Run(sim.Time(200 * sim.Millisecond))
+	if fires != 2 {
+		t.Fatalf("DPC ran %d times, want 2 (kept across the renewal)", fires)
+	}
+	recs := tr.Records()
+	last := recs[len(recs)-1]
+	if last.TimerID != kt.ID() || tr.OriginName(last.Origin) != "tcp/delack" || last.PID != 7 || last.Flags&trace.FlagUser == 0 {
+		t.Fatalf("renewed timer's record %+v (origin %q)", last, tr.OriginName(last.Origin))
+	}
+
+	k.SetTimerIn(kt, sim.Second, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RenewTimer on a pending timer did not panic")
+		}
+	}()
+	k.RenewTimer(kt, "tcp/delack", 0, false)
+}

@@ -28,6 +28,12 @@ type arpPayload struct {
 	request bool // request (or probe) vs. reply
 }
 
+// The two ARP payloads, boxed once so sending one allocates nothing.
+var (
+	arpRequest any = arpPayload{request: true}
+	arpReply   any = arpPayload{request: false}
+)
+
 type arpState uint8
 
 const (
@@ -57,6 +63,9 @@ type arpCache struct {
 	gc      Handle
 	scan    Handle
 	flush   Handle
+	// hosts and sorted are sortedEntries' reused scratch.
+	hosts  []string
+	sorted []*arpEntry
 }
 
 func newARPCache(s *Stack) *arpCache {
@@ -100,7 +109,7 @@ func (a *arpCache) resolve(host string, cb func(bool)) {
 
 func (a *arpCache) solicit(e *arpEntry) {
 	a.s.net.Send(Packet{From: a.s.host, To: e.host, Size: 28,
-		Payload: arpPayload{request: true}})
+		Payload: arpRequest})
 	e.timer.Arm(arpSolicitInterval)
 }
 
@@ -130,7 +139,7 @@ func (a *arpCache) observed(host string) {
 func (a *arpCache) receive(from string, pl arpPayload) {
 	if pl.request {
 		a.s.net.Send(Packet{From: a.s.host, To: from, Size: 28,
-			Payload: arpPayload{request: false}})
+			Payload: arpReply})
 	}
 	a.observed(from)
 }
@@ -169,22 +178,23 @@ func (a *arpCache) onEntryTimer(e *arpEntry) {
 
 func (a *arpCache) probe(e *arpEntry) {
 	a.s.net.Send(Packet{From: a.s.host, To: e.host, Size: 28,
-		Payload: arpPayload{request: true}})
+		Payload: arpRequest})
 	e.timer.Arm(arpSolicitInterval)
 }
 
 // sortedEntries returns entries in host order: deterministic iteration.
+// The slice is scratch, valid until the next call.
 func (a *arpCache) sortedEntries() []*arpEntry {
-	hosts := make([]string, 0, len(a.entries))
+	a.hosts = a.hosts[:0]
 	for h := range a.entries {
-		hosts = append(hosts, h)
+		a.hosts = append(a.hosts, h)
 	}
-	sort.Strings(hosts)
-	out := make([]*arpEntry, len(hosts))
-	for i, h := range hosts {
-		out[i] = a.entries[h]
+	sort.Strings(a.hosts)
+	a.sorted = a.sorted[:0]
+	for _, h := range a.hosts {
+		a.sorted = append(a.sorted, a.entries[h])
 	}
-	return out
+	return a.sorted
 }
 
 // onGC ages reachable entries to stale and arms the 5 s delay-probe.
@@ -243,7 +253,7 @@ func (s *Stack) ARPReachable(host string) bool { return s.arp.reachable(host) }
 func (n *Network) AttachBlackhole(host string) {
 	n.Attach(host, func(p Packet) {
 		if pl, ok := p.Payload.(arpPayload); ok && pl.request {
-			n.Send(Packet{From: host, To: p.From, Size: 28, Payload: arpPayload{request: false}})
+			n.Send(Packet{From: host, To: p.From, Size: 28, Payload: arpReply})
 		}
 	})
 }

@@ -53,79 +53,123 @@ type LinuxFacility struct {
 	// Base is the standard timer base to arm on.
 	Base *jiffies.Base
 
-	slab map[string][]*jiffies.Timer
+	// slab holds released handles per origin, reused LIFO. A handle owns
+	// its timer struct for life, so reusing the handle is reusing the
+	// struct, exactly as the kernel's slab does.
+	slab map[string][]*linuxHandle
 }
 
 type linuxHandle struct {
 	f *LinuxFacility
-	t *jiffies.Timer
+	t jiffies.Timer
 }
 
 // NewTimer implements Facility.
 func (f *LinuxFacility) NewTimer(origin string, fn func()) Handle {
 	if free := f.slab[origin]; len(free) > 0 {
-		t := free[len(free)-1]
+		h := free[len(free)-1]
 		f.slab[origin] = free[:len(free)-1]
-		t.SetCallback(fn)
-		return &linuxHandle{f: f, t: t}
+		h.t.SetCallback(fn)
+		return h
 	}
-	t := &jiffies.Timer{}
-	f.Base.Init(t, origin, 0, fn)
-	return &linuxHandle{f: f, t: t}
+	h := &linuxHandle{f: f}
+	f.Base.Init(&h.t, origin, 0, fn)
+	return h
 }
 
 // Now implements Facility.
 func (f *LinuxFacility) Now() sim.Time { return f.Base.Now() }
 
-func (h *linuxHandle) Arm(d sim.Duration) { h.f.Base.ModTimeout(h.t, d) }
-func (h *linuxHandle) Stop() bool         { return h.f.Base.Del(h.t) }
+func (h *linuxHandle) Arm(d sim.Duration) { h.f.Base.ModTimeout(&h.t, d) }
+func (h *linuxHandle) Stop() bool         { return h.f.Base.Del(&h.t) }
 func (h *linuxHandle) Pending() bool      { return h.t.Pending() }
 
 func (h *linuxHandle) Release() {
 	if h.t.Pending() {
-		_ = h.f.Base.Del(h.t)
+		_ = h.f.Base.Del(&h.t)
 	}
 	if h.f.slab == nil {
-		h.f.slab = make(map[string][]*jiffies.Timer)
+		h.f.slab = make(map[string][]*linuxHandle)
 	}
-	h.f.slab[h.t.Origin] = append(h.f.slab[h.t.Origin], h.t)
+	h.f.slab[h.t.Origin] = append(h.f.slab[h.t.Origin], h)
 }
 
 // --- Vista adapter ---
 
 // VistaFacility arms transport timers as KTIMER objects. Vista's re-architected
 // TCP/IP stack uses per-CPU timing wheels internally, but at the KTIMER
-// boundary each protocol timer is a dynamically allocated object; a fresh
-// KTimer is allocated per Handle, so identities are never reused — Vista
-// behaviour as the paper describes it.
+// boundary each protocol timer is a dynamically allocated object: every
+// Handle gets a fresh KTIMER identity, so identities are never reused —
+// Vista behaviour as the paper describes it. Only the Go objects recycle:
+// a released handle whose DPC cannot still run is renewed (Kernel.RenewTimer,
+// a fresh ID) by a later NewTimer, which is invisible in the trace.
 type VistaFacility struct {
 	// Kernel is the NT timer machinery to arm on.
 	Kernel *ktimer.Kernel
+
+	free []*vistaHandle
 }
 
 type vistaHandle struct {
-	k *ktimer.Kernel
-	t *ktimer.KTimer
+	f  *VistaFacility
+	t  *ktimer.KTimer
+	fn func()
+	// due counts the DPCs still to come: an Arm of an idle timer adds
+	// one, a Stop that catches the timer pending or a DPC that runs takes
+	// one away. Due but not pending means the timer expired and its DPC
+	// is still queued.
+	due int
 }
 
 // NewTimer implements Facility.
 func (f *VistaFacility) NewTimer(origin string, fn func()) Handle {
-	t := f.Kernel.NewTimer(origin, 0, false, nil)
-	h := &vistaHandle{k: f.Kernel, t: t}
-	h.t.SetDPC(fn)
+	var h *vistaHandle
+	if n := len(f.free); n > 0 {
+		h = f.free[n-1]
+		f.free = f.free[:n-1]
+		f.Kernel.RenewTimer(h.t, origin, 0, false)
+	} else {
+		// The KTIMER's DPC is bound once and kept across renewals.
+		h = &vistaHandle{f: f}
+		h.t = f.Kernel.NewTimer(origin, 0, false, h.expired)
+	}
+	h.fn = fn
 	return h
 }
 
 // Now implements Facility.
 func (f *VistaFacility) Now() sim.Time { return f.Kernel.Now() }
 
-func (h *vistaHandle) Arm(d sim.Duration) { h.k.SetTimerIn(h.t, d, 0) }
-func (h *vistaHandle) Stop() bool         { return h.k.CancelTimer(h.t) }
-func (h *vistaHandle) Pending() bool      { return h.t.Pending() }
+func (h *vistaHandle) Arm(d sim.Duration) {
+	if !h.t.Pending() {
+		h.due++
+	}
+	h.f.Kernel.SetTimerIn(h.t, d, 0)
+}
+
+func (h *vistaHandle) Stop() bool {
+	active := h.f.Kernel.CancelTimer(h.t)
+	if active {
+		h.due--
+	}
+	return active
+}
+
+func (h *vistaHandle) Pending() bool { return h.t.Pending() }
+
+func (h *vistaHandle) expired() {
+	h.due--
+	h.fn()
+}
 
 func (h *vistaHandle) Release() {
 	if h.t.Pending() {
-		_ = h.k.CancelTimer(h.t)
+		_ = h.f.Kernel.CancelTimer(h.t)
+		h.due--
 	}
-	// Dynamically allocated and never reused: drop it.
+	// The KTIMER is dropped. A handle whose DPC is still queued keeps its
+	// callback and is never reused; any other goes back for renewal.
+	if h.due == 0 {
+		h.f.free = append(h.f.free, h)
+	}
 }

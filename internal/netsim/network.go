@@ -14,6 +14,11 @@ type Packet struct {
 	Size int
 	// Payload is opaque to the network.
 	Payload any
+
+	// seg is the TCP segment a Stack transmits, carried by value so a
+	// segment is never boxed into Payload; tcp marks it.
+	seg segment
+	tcp bool
 }
 
 // pathKey orders a host pair canonically.
@@ -44,6 +49,11 @@ type Network struct {
 	def   PathConfig
 	paths map[pathKey]PathConfig
 	hosts map[string]func(Packet)
+	// sorted caches the attached host names in order for Broadcast; nil
+	// after an Attach adds a host.
+	sorted []string
+	// free is the freelist of delivery nodes (see delivery).
+	free *delivery
 	// links interns the per-direction event labels ("net:a->b") so Send
 	// does not build a string per packet. Keys are directional, so pathKey
 	// is used here without mkPath canonicalization.
@@ -78,7 +88,60 @@ func (n *Network) SetPath(a, b string, cfg PathConfig) { n.paths[mkPath(a, b)] =
 
 // Attach registers a host's receive function. Reattaching replaces it.
 func (n *Network) Attach(host string, recv func(Packet)) {
+	if _, ok := n.hosts[host]; !ok {
+		n.sorted = nil
+	}
 	n.hosts[host] = recv
+}
+
+// delivery is one packet in flight. Nodes recycle through the network's
+// freelist and carry a callback bound once when the node is first
+// allocated, so a send schedules an existing closure instead of building
+// one per packet (the fleet hosts' deliverFn idiom).
+type delivery struct {
+	n       *Network
+	recv    func(Packet)
+	p       Packet
+	counted bool // point-to-point sends count in Delivered; broadcasts do not
+	fire    func()
+	next    *delivery
+}
+
+// schedule queues p for recv after delay on a pooled delivery node.
+//
+//lint:allocfree per-packet path; nodes come from the freelist once warm (TestSendZeroAllocSteadyState)
+func (n *Network) schedule(delay sim.Duration, label string, recv func(Packet), p Packet, counted bool) {
+	d := n.free
+	if d == nil {
+		//lint:ignore allocfree cold path: the freelist grows to the peak number of packets in flight, once
+		d = n.newDelivery()
+	} else {
+		n.free = d.next
+	}
+	d.recv, d.p, d.counted = recv, p, counted
+	n.eng.After(delay, label, d.fire)
+}
+
+// newDelivery allocates a node and binds its callback; the cold path of
+// schedule.
+func (n *Network) newDelivery() *delivery {
+	d := &delivery{n: n}
+	d.fire = d.deliver
+	return d
+}
+
+// deliver hands the packet to its receiver. The node goes back on the
+// freelist first, so whatever the receiver sends can reuse it.
+//
+//lint:allocfree per-packet path: a freelist push and the receiver call
+func (d *delivery) deliver() {
+	n, recv, p, counted := d.n, d.recv, d.p, d.counted
+	d.recv, d.p = nil, Packet{}
+	d.next, n.free = n.free, d
+	if counted {
+		n.Delivered++
+	}
+	recv(p)
 }
 
 // linkLabel returns the interned event label for one direction of a link.
@@ -103,6 +166,8 @@ func (n *Network) pathFor(a, b string) PathConfig {
 // Send transmits a packet; it may be silently lost. Unknown destinations are
 // dropped (an unplugged cable), which is how workloads simulate unreachable
 // servers.
+//
+//lint:allocfree per-packet path: path and label lookups in warmed maps, then a pooled delivery
 func (n *Network) Send(p Packet) {
 	cfg := n.pathFor(p.From, p.To)
 	if cfg.Loss > 0 && n.rng.Float64() < cfg.Loss {
@@ -121,10 +186,7 @@ func (n *Network) Send(p Packet) {
 	if n.Bandwidth > 0 && p.Size > 0 {
 		delay += sim.Duration(int64(p.Size) * int64(sim.Second) / n.Bandwidth)
 	}
-	n.eng.After(delay, n.linkLabel(p.From, p.To), func() {
-		n.Delivered++
-		recv(p)
-	})
+	n.schedule(delay, n.linkLabel(p.From, p.To), recv, p, true)
 }
 
 // Broadcast delivers a packet to every attached host except the sender —
@@ -135,27 +197,27 @@ func (n *Network) Broadcast(from string, payload any) {
 		if host == from {
 			continue
 		}
-		host := host
-		recv := n.hosts[host]
 		cfg := n.pathFor(from, host)
 		delay := cfg.Latency
 		if cfg.Jitter > 0 {
 			delay += sim.Duration(n.rng.Int63n(int64(cfg.Jitter)))
 		}
-		n.eng.After(delay, "net:broadcast", func() {
-			recv(Packet{From: from, To: host, Payload: payload})
-		})
+		n.schedule(delay, "net:broadcast", n.hosts[host], Packet{From: from, To: host, Payload: payload}, false)
 	}
 }
 
+// sortedHosts returns the cached sorted host list, rebuilding it after an
+// Attach added a host. Callers must not mutate it.
 func (n *Network) sortedHosts() []string {
-	out := make([]string, 0, len(n.hosts))
-	for h := range n.hosts {
-		out = append(out, h)
+	if n.sorted == nil {
+		n.sorted = make([]string, 0, len(n.hosts))
+		for h := range n.hosts {
+			n.sorted = append(n.sorted, h)
+		}
+		sort.Strings(n.sorted)
 	}
-	sort.Strings(out)
-	return out
+	return n.sorted
 }
 
 // Hosts returns the attached host names, sorted.
-func (n *Network) Hosts() []string { return n.sortedHosts() }
+func (n *Network) Hosts() []string { return append([]string(nil), n.sortedHosts()...) }

@@ -115,6 +115,22 @@ type Stack struct {
 	conns     map[connKey]*Conn
 	nextPort  uint16
 
+	// labels are the four per-connection timer origins, interned once per
+	// OriginPrefix instead of concatenated for every connection.
+	labels connLabels
+
+	// Recycling. freeConns and freeMsgs are LIFO freelists of dead
+	// connections and acknowledged messages. A connection is recyclable
+	// once it is closed, its owner has released it, no ARP resolution
+	// still refers to it and no timer callback of it is still queued; it
+	// first waits on dead until depth, the count of stack calls in
+	// progress, is back to zero, so no frame on the call stack still
+	// holds it when a new connection reuses it.
+	freeConns []*Conn
+	freeMsgs  []*outMsg
+	dead      []*Conn
+	depth     int
+
 	arp *arpCache
 
 	// KeepaliveEnabled arms the 7200 s keepalive on established
@@ -154,6 +170,65 @@ func (s *Stack) Facility() Facility { return s.fac }
 // Listen registers an accept callback for a port.
 func (s *Stack) Listen(port uint16, accept func(*Conn)) {
 	s.listeners[port] = accept
+}
+
+// connLabels are a stack's interned per-connection timer origins.
+type connLabels struct {
+	prefix                                 string
+	retransmit, delack, keepalive, persist string
+}
+
+// connLabels returns the timer origins for the current OriginPrefix,
+// building them only when the prefix changed.
+func (s *Stack) connLabels() *connLabels {
+	if s.labels.retransmit == "" || s.labels.prefix != s.OriginPrefix {
+		p := s.OriginPrefix
+		s.labels = connLabels{
+			prefix:     p,
+			retransmit: p + ":retransmit",
+			delack:     p + ":delack",
+			keepalive:  p + ":keepalive",
+			persist:    p + ":persist",
+		}
+	}
+	return &s.labels
+}
+
+// enter and exit bracket every stack entry point that can run application
+// callbacks; exit recycles the connections that died meanwhile once the
+// outermost call returns.
+func (s *Stack) enter() { s.depth++ }
+
+func (s *Stack) exit() {
+	s.depth--
+	if s.depth == 0 && len(s.dead) > 0 {
+		s.reap()
+	}
+}
+
+// reap moves dead connections to the freelist.
+func (s *Stack) reap() {
+	for i, c := range s.dead {
+		s.freeConns = append(s.freeConns, c)
+		s.dead[i] = nil
+	}
+	s.dead = s.dead[:0]
+}
+
+// newMsg returns a message from the freelist, or a new one.
+func (s *Stack) newMsg() *outMsg {
+	if n := len(s.freeMsgs); n > 0 {
+		m := s.freeMsgs[n-1]
+		s.freeMsgs = s.freeMsgs[:n-1]
+		return m
+	}
+	return &outMsg{}
+}
+
+// freeMsg recycles a message nothing refers to any more.
+func (s *Stack) freeMsg(m *outMsg) {
+	*m = outMsg{}
+	s.freeMsgs = append(s.freeMsgs, m)
 }
 
 // connKey identifies a connection within its stack. It is a comparable
@@ -212,11 +287,93 @@ type Conn struct {
 	synRetries  int
 	gotFirstAck bool
 
+	// Recycling state (see Stack). due counts, per timer, the callbacks
+	// still to come: an Arm of an idle timer adds one, a Stop that catches
+	// the timer pending or a callback that runs takes one away. A timer
+	// that expired but whose callback is still queued (a Vista DPC) counts
+	// as due. stale is what was due when the connection closed.
+	due       [nConnTimers]uint8
+	stale     int
+	resolving bool // an ARP resolution will call back
+	released  bool // the owner called Release
+	recycled  bool // on the dead list or the freelist
+	fns       connFns
+
 	// OnMessage receives delivered application messages.
 	OnMessage func(c *Conn, size int, payload any)
 	// OnClose runs once when the connection dies (FIN, reset, or timeout
 	// abort). err is nil for a clean remote close.
 	OnClose func(err error)
+}
+
+// connFns are a Conn's callbacks, bound once when the Go object is first
+// allocated and kept across the connections it carries.
+type connFns struct {
+	retransmit, delack, keepalive, persist func()
+	resolved                               func(bool)
+}
+
+// The connection's timers, indexing Conn.due.
+const (
+	timerRetransmit = iota
+	timerDelack
+	timerKeepalive
+	timerPersist
+	nConnTimers
+)
+
+// arm arms one of the connection's timers.
+func (c *Conn) arm(i int, h Handle, d sim.Duration) {
+	if !h.Pending() {
+		c.due[i]++
+	}
+	h.Arm(d)
+}
+
+// stop cancels one of the connection's timers; reports whether it was
+// pending.
+func (c *Conn) stop(i int, h Handle) bool {
+	if h.Stop() {
+		c.due[i]--
+		return true
+	}
+	return false
+}
+
+// fired accounts a timer callback. It reports false for a callback that
+// was still queued when the connection closed: those do nothing.
+func (c *Conn) fired(i int) bool {
+	if c.state == stateClosed {
+		if c.stale > 0 {
+			c.stale--
+			c.recycle()
+		}
+		return false
+	}
+	c.due[i]--
+	return true
+}
+
+// Release hands the connection back to its stack for reuse by a later
+// connection once it has closed. It may come before the close: the stack
+// then recycles c when it closes. Either way the owner must not use c
+// after Release, except inside the callbacks the stack still makes on it
+// while it is open. A connection that is never released is left to the
+// garbage collector, as before.
+func (c *Conn) Release() {
+	c.stack.enter()
+	c.released = true
+	c.recycle()
+	c.stack.exit()
+}
+
+// recycle queues a dead, released, unreferenced connection for reuse.
+func (c *Conn) recycle() {
+	if c.state != stateClosed || !c.released || c.resolving || c.stale > 0 || c.recycled {
+		return
+	}
+	c.recycled = true
+	c.stack.dead = append(c.stack.dead, c)
 }
 
 // RemoteHost returns the peer's host name.
@@ -230,16 +387,30 @@ func (c *Conn) Established() bool { return c.state == stateEstablished }
 func (c *Conn) Estimator() *RTOEstimator { return &c.est }
 
 func (s *Stack) newConn(remote string, remotePort, localPort uint16, server bool) *Conn {
-	c := &Conn{
-		stack: s, remote: remote, remotePort: remotePort, localPort: localPort,
-		server: server,
+	var c *Conn
+	if n := len(s.freeConns); n > 0 {
+		c = s.freeConns[n-1]
+		s.freeConns[n-1] = nil
+		s.freeConns = s.freeConns[:n-1]
+		*c = Conn{stack: s, fns: c.fns, sendq: c.sendq[:0]}
+	} else {
+		c = &Conn{stack: s}
+		c.fns = connFns{
+			retransmit: c.onRetransTimeout,
+			delack:     c.onDelackTimeout,
+			keepalive:  c.onKeepalive,
+			persist:    c.onPersist,
+			resolved:   c.onResolved,
+		}
 	}
+	c.remote, c.remotePort, c.localPort, c.server = remote, remotePort, localPort, server
 	// The per-socket timer structures, created at socket creation as in
 	// inet_csk: stable identities per connection.
-	c.retransTimer = s.fac.NewTimer(s.OriginPrefix+":retransmit", c.onRetransTimeout)
-	c.delackTimer = s.fac.NewTimer(s.OriginPrefix+":delack", c.onDelackTimeout)
-	c.keepaliveTimer = s.fac.NewTimer(s.OriginPrefix+":keepalive", c.onKeepalive)
-	c.persistTimer = s.fac.NewTimer(s.OriginPrefix+":persist", c.onPersist)
+	l := s.connLabels()
+	c.retransTimer = s.fac.NewTimer(l.retransmit, c.fns.retransmit)
+	c.delackTimer = s.fac.NewTimer(l.delack, c.fns.delack)
+	c.keepaliveTimer = s.fac.NewTimer(l.keepalive, c.fns.keepalive)
+	c.persistTimer = s.fac.NewTimer(l.persist, c.fns.persist)
 	s.conns[connKey{remote, remotePort, localPort}] = c
 	return c
 }
@@ -248,21 +419,31 @@ func (s *Stack) newConn(remote string, remotePort, localPort uint16, server bool
 // error after SYN retries are exhausted. Name resolution (ARP) happens
 // first, as for a LAN peer.
 func (s *Stack) Connect(remote string, port uint16, cb func(*Conn, error)) {
+	s.enter()
+	defer s.exit()
 	s.nextPort++
 	localPort := s.nextPort
 	c := s.newConn(remote, port, localPort, false)
 	c.state = stateSynSent
 	c.onConnect = cb
-	s.arp.resolve(remote, func(ok bool) {
-		if c.state != stateSynSent {
-			return
-		}
-		if !ok {
-			c.fail(ErrTimeout)
-			return
-		}
-		c.sendSYN()
-	})
+	c.resolving = true
+	s.arp.resolve(remote, c.fns.resolved)
+}
+
+// onResolved continues Connect once ARP has resolved (or failed).
+func (c *Conn) onResolved(ok bool) {
+	c.stack.enter()
+	defer c.stack.exit()
+	c.resolving = false
+	if c.state != stateSynSent {
+		c.recycle()
+		return
+	}
+	if !ok {
+		c.fail(ErrTimeout)
+		return
+	}
+	c.sendSYN()
 }
 
 func (c *Conn) sendSYN() {
@@ -280,7 +461,7 @@ func (c *Conn) armRetrans() {
 			break
 		}
 	}
-	c.retransTimer.Arm(rto)
+	c.arm(timerRetransmit, c.retransTimer, rto)
 }
 
 func (c *Conn) backoffShifts() int {
@@ -297,7 +478,7 @@ func (c *Conn) transmit(seg segment) {
 	seg.wndClosed = c.recvClosed
 	c.stack.net.Send(Packet{
 		From: c.stack.host, To: c.remote,
-		Size: seg.size, Payload: seg,
+		Size: seg.size, seg: seg, tcp: true,
 	})
 }
 
@@ -311,7 +492,8 @@ func (c *Conn) Send(size int, payload any, acked func(error)) {
 		return
 	}
 	c.nextSeq++
-	m := &outMsg{seq: c.nextSeq, size: size, payload: payload, acked: acked}
+	m := c.stack.newMsg()
+	m.seq, m.size, m.payload, m.acked = c.nextSeq, size, payload, acked
 	c.sendq = append(c.sendq, m)
 	c.pump()
 }
@@ -336,7 +518,7 @@ func (c *Conn) pump() {
 	m.sentAt = c.stack.fac.Now()
 	// Data carries a cumulative ACK: cancel a pending delayed ACK.
 	if c.ackPending {
-		_ = c.delackTimer.Stop()
+		_ = c.stop(timerDelack, c.delackTimer)
 		c.ackPending = false
 	}
 	c.transmit(segment{kind: segDATA, seq: m.seq, size: m.size + headerSize, payload: m.payload})
@@ -344,6 +526,11 @@ func (c *Conn) pump() {
 }
 
 func (c *Conn) onRetransTimeout() {
+	c.stack.enter()
+	defer c.stack.exit()
+	if !c.fired(timerRetransmit) {
+		return
+	}
 	switch c.state {
 	case stateSynSent:
 		c.synRetries++
@@ -357,7 +544,7 @@ func (c *Conn) onRetransTimeout() {
 		for i := 0; i < c.synRetries; i++ {
 			rto *= 2
 		}
-		c.retransTimer.Arm(rto)
+		c.arm(timerRetransmit, c.retransTimer, rto)
 	case stateEstablished:
 		if c.inflight == nil {
 			return // spurious
@@ -374,7 +561,9 @@ func (c *Conn) onRetransTimeout() {
 }
 
 func (c *Conn) onDelackTimeout() {
-	if c.state != stateEstablished || !c.ackPending {
+	c.stack.enter()
+	defer c.stack.exit()
+	if !c.fired(timerDelack) || c.state != stateEstablished || !c.ackPending {
 		return
 	}
 	c.ackPending = false
@@ -391,12 +580,14 @@ func (c *Conn) armPersist() {
 			break
 		}
 	}
-	c.persistTimer.Arm(d)
+	c.arm(timerPersist, c.persistTimer, d)
 }
 
 // onPersist fires the window probe.
 func (c *Conn) onPersist() {
-	if c.state != stateEstablished || !c.peerClosed {
+	c.stack.enter()
+	defer c.stack.exit()
+	if !c.fired(timerPersist) || c.state != stateEstablished || !c.peerClosed {
 		return
 	}
 	c.persistShift++
@@ -408,9 +599,11 @@ func (c *Conn) onKeepalive() {
 	// Two virtual hours of idleness: probe. No workload in this study runs
 	// long enough to reach it (the paper makes the same observation); the
 	// probe simply re-arms.
-	if c.state == stateEstablished {
+	c.stack.enter()
+	defer c.stack.exit()
+	if c.fired(timerKeepalive) && c.state == stateEstablished {
 		c.transmit(segment{kind: segACK, size: headerSize})
-		c.keepaliveTimer.Arm(KeepaliveIdle)
+		c.arm(timerKeepalive, c.keepaliveTimer, KeepaliveIdle)
 	}
 }
 
@@ -420,15 +613,19 @@ func (c *Conn) fail(err error) {
 		return
 	}
 	cb := c.onConnect
-	c.teardown()
+	if cb != nil {
+		// The connection never reached its owner: it is the stack's to
+		// recycle.
+		c.released = true
+	}
+	inflight, queued := c.teardown()
 	if cb != nil {
 		cb(nil, err)
-	} else if c.inflight != nil && c.inflight.acked != nil {
-		c.inflight.acked(err)
 	}
 	if c.OnClose != nil {
 		c.OnClose(err)
 	}
+	c.freePending(inflight, queued)
 }
 
 // Close sends FIN and tears the connection down. Pending sends error with
@@ -437,34 +634,57 @@ func (c *Conn) Close() {
 	if c.state == stateClosed {
 		return
 	}
+	c.stack.enter()
+	defer c.stack.exit()
 	c.transmit(segment{kind: segFIN, size: headerSize})
-	pendingErr := c.pendingSends()
-	c.teardown()
-	for _, m := range pendingErr {
+	inflight, queued := c.teardown()
+	c.resetPending(inflight, queued)
+}
+
+// resetPending errors the messages a teardown detached with ErrReset, the
+// in-flight one first, then recycles them.
+func (c *Conn) resetPending(inflight *outMsg, queued []*outMsg) {
+	if inflight != nil && inflight.acked != nil {
+		inflight.acked(ErrReset)
+	}
+	for _, m := range queued {
 		if m.acked != nil {
 			m.acked(ErrReset)
 		}
 	}
+	c.freePending(inflight, queued)
 }
 
-func (c *Conn) pendingSends() []*outMsg {
-	var out []*outMsg
-	if c.inflight != nil {
-		out = append(out, c.inflight)
+// freePending recycles the messages a teardown detached.
+func (c *Conn) freePending(inflight *outMsg, queued []*outMsg) {
+	if inflight != nil {
+		c.stack.freeMsg(inflight)
 	}
-	out = append(out, c.sendq...)
-	return out
+	for i, m := range queued {
+		c.stack.freeMsg(m)
+		queued[i] = nil
+	}
 }
 
-func (c *Conn) teardown() {
+// teardown closes the connection and detaches its unacknowledged messages
+// for the caller to settle. queued aliases the send queue's storage, which
+// nothing appends to once the connection is closed.
+func (c *Conn) teardown() (inflight *outMsg, queued []*outMsg) {
+	inflight, queued = c.inflight, c.sendq
 	c.state = stateClosed
 	c.inflight = nil
-	c.sendq = nil
-	_ = c.retransTimer.Stop()
-	_ = c.delackTimer.Stop()
-	_ = c.persistTimer.Stop()
+	c.sendq = c.sendq[:0]
+	_ = c.stop(timerRetransmit, c.retransTimer)
+	_ = c.stop(timerDelack, c.delackTimer)
+	_ = c.stop(timerPersist, c.persistTimer)
 	if c.stack.KeepaliveEnabled {
-		_ = c.keepaliveTimer.Stop()
+		_ = c.stop(timerKeepalive, c.keepaliveTimer)
+	}
+	// A timer that expired but whose callback has not run yet (a queued
+	// DPC) still calls back once; the connection is not reused before.
+	for i, n := range c.due {
+		c.stale += int(n)
+		c.due[i] = 0
 	}
 	// The socket dies; its embedded timer structs go back to the slab.
 	c.retransTimer.Release()
@@ -472,17 +692,22 @@ func (c *Conn) teardown() {
 	c.keepaliveTimer.Release()
 	c.persistTimer.Release()
 	delete(c.stack.conns, connKey{c.remote, c.remotePort, c.localPort})
+	c.recycle()
+	return inflight, queued
 }
 
 // receive dispatches an incoming packet to ARP or the owning connection.
 func (s *Stack) receive(p Packet) {
-	switch seg := p.Payload.(type) {
-	case arpPayload:
-		s.arp.receive(p.From, seg)
-		return
-	case segment:
+	if p.tcp {
+		s.enter()
 		s.arp.observed(p.From)
-		s.receiveSegment(p.From, seg)
+		s.receiveSegment(p.From, &p.seg)
+		s.exit()
+		return
+	}
+	switch pl := p.Payload.(type) {
+	case arpPayload:
+		s.arp.receive(p.From, pl)
 	default:
 		// Datagrams and LAN noise: refresh the neighbour cache, then hand
 		// non-broadcast traffic to the raw tap.
@@ -493,7 +718,7 @@ func (s *Stack) receive(p Packet) {
 	}
 }
 
-func (s *Stack) receiveSegment(from string, seg segment) {
+func (s *Stack) receiveSegment(from string, seg *segment) {
 	c, ok := s.conns[connKey{from, seg.fromPort, seg.toPort}]
 	if !ok {
 		if seg.kind == segSYN {
@@ -517,7 +742,7 @@ func (s *Stack) receiveSegment(from string, seg segment) {
 		c.transmit(segment{kind: segSYNACK, size: headerSize})
 	case segSYNACK:
 		if c.state == stateSynSent {
-			_ = c.retransTimer.Stop()
+			_ = c.stop(timerRetransmit, c.retransTimer)
 			rtt := s.fac.Now().Sub(c.synSent)
 			if c.synRetries == 0 {
 				c.est.Observe(rtt)
@@ -547,7 +772,7 @@ func (s *Stack) receiveSegment(from string, seg segment) {
 		if c.state == stateEstablished && c.inflight == nil && len(c.sendq) == 0 {
 			if !c.ackPending {
 				c.ackPending = true
-				c.delackTimer.Arm(DelayedAckTimeout)
+				c.arm(timerDelack, c.delackTimer, DelayedAckTimeout)
 			}
 		} else if c.state == stateEstablished {
 			c.pump()
@@ -563,13 +788,8 @@ func (s *Stack) receiveSegment(from string, seg segment) {
 		if c.state == stateClosed {
 			return
 		}
-		pending := c.pendingSends()
-		c.teardown()
-		for _, m := range pending {
-			if m.acked != nil {
-				m.acked(ErrReset)
-			}
-		}
+		inflight, queued := c.teardown()
+		c.resetPending(inflight, queued)
 		if c.OnClose != nil {
 			c.OnClose(nil)
 		}
@@ -590,13 +810,13 @@ func (c *Conn) sampleHandshakeRTT() {
 
 // noteWindow folds the peer's advertised window into sender state and
 // restarts transmission when it reopens.
-func (c *Conn) noteWindow(seg segment) {
+func (c *Conn) noteWindow(seg *segment) {
 	wasClosed := c.peerClosed
 	c.peerClosed = seg.wndClosed
 	if wasClosed && !c.peerClosed {
 		c.persistShift = 0
 		if c.persistTimer.Pending() {
-			_ = c.persistTimer.Stop()
+			_ = c.stop(timerPersist, c.persistTimer)
 		}
 		c.pump()
 	}
@@ -627,7 +847,7 @@ func (c *Conn) ResumeReceiving() {
 func (c *Conn) establish() {
 	c.state = stateEstablished
 	if c.stack.KeepaliveEnabled {
-		c.keepaliveTimer.Arm(KeepaliveIdle)
+		c.arm(timerKeepalive, c.keepaliveTimer, KeepaliveIdle)
 	}
 	c.pump()
 }
@@ -638,12 +858,13 @@ func (c *Conn) processAck(ack uint64) {
 	}
 	m := c.inflight
 	c.inflight = nil
-	_ = c.retransTimer.Stop()
+	_ = c.stop(timerRetransmit, c.retransTimer)
 	if m.retrans == 0 { // Karn's rule
 		c.est.Observe(c.stack.fac.Now().Sub(m.sentAt))
 	}
 	if m.acked != nil {
 		m.acked(nil)
 	}
+	c.stack.freeMsg(m)
 	c.pump()
 }

@@ -95,9 +95,9 @@ func ckFrameBoundaries(tb testing.TB, full []byte) []int {
 			count := int(le.Uint32(full[pos:]))
 			pos += 4
 			for i := 0; i < count; i++ {
-				pos = blob(pos)                              // name
-				pos += 8 + 8 + 4 + 8 + 8 + 8 + 1             // fixed fields
-				pos += (int(nOps) + 3) * 8                   // counters
+				pos = blob(pos)                  // name
+				pos += 8 + 8 + 4 + 8 + 8 + 8 + 1 // fixed fields
+				pos += (int(nOps) + 3) * 8       // counters
 			}
 		case ckFrameEnd:
 			pos += 8

@@ -202,7 +202,7 @@ func (h *HTTPSink) Log(r Record) {
 }
 
 // chunkCap is the StreamWriter's configured chunk size.
-func (s *StreamWriter) chunkCap() int { return cap(s.chunk) }
+func (s *StreamWriter) chunkCap() int { return s.chunkRecords }
 
 // cut flushes the StreamWriter (emitting whole frames into the capture
 // buffer) and hands the accumulated bytes to the sender. Frame alignment is

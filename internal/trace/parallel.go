@@ -80,8 +80,10 @@ func (s *StreamReader) ForEachChunk(workers int, fn func(Chunk) error) error {
 	}
 	s.consumed = true
 	if workers <= 1 {
-		var raw []byte
-		var recs []Record
+		rawp, recp := getRawChunk(), getRecChunk()
+		defer putRawChunk(rawp)
+		defer putRecChunk(recp)
+		raw, recs := *rawp, *recp
 		return s.walkFrames(
 			func(need int) []byte {
 				if cap(raw) < need {
@@ -126,11 +128,13 @@ var errStopped = errors.New("trace: chunk pipeline stopped")
 func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) error {
 	type result struct {
 		recs    []Record
+		slot    *[]Record // recycler slot of recs' storage
 		origins []string
 		err     error
 	}
 	type job struct {
 		raw     []byte
+		slot    *[]byte // recycler slot of raw, nil for an oversized chunk
 		count   int
 		origins []string // snapshot; earlier entries are never mutated
 		out     chan result
@@ -142,7 +146,6 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 	// mechanism the pipeline needs.
 	promises := make(chan chan result, workers+1)
 	stop := make(chan struct{})
-	var rawPool, recPool sync.Pool
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -150,30 +153,28 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				var dst []Record
-				if v := recPool.Get(); v != nil {
-					dst = v.([]Record)
-				}
-				recs, err := decodeChunk(j.raw, j.count, dst, len(j.origins))
-				rawPool.Put(j.raw[:cap(j.raw)]) //nolint — same backing array, recycled
-				j.out <- result{recs: recs, origins: j.origins, err: err}
+				slot := getRecChunk()
+				recs, err := decodeChunk(j.raw, j.count, *slot, len(j.origins))
+				putRawChunk(j.slot)
+				j.out <- result{recs: recs, slot: slot, origins: j.origins, err: err}
 			}
 		}()
 	}
 
 	// Reader: walks frames sequentially (the origin table must grow in file
 	// order), fanning record payloads out to the workers. Buffers come from
-	// rawPool so in-flight memory stays O(workers) chunks.
+	// the chunk recycler, so in-flight memory stays O(workers) chunks.
 	go func() {
 		defer close(promises)
 		defer close(jobs)
+		var slot *[]byte
 		err := s.walkFrames(
 			func(need int) []byte {
-				if v := rawPool.Get(); v != nil {
-					if b := v.([]byte); cap(b) >= need {
-						return b
-					}
+				if need <= chunkBytes {
+					slot = getRawChunk()
+					return *slot
 				}
+				slot = nil
 				return make([]byte, need)
 			},
 			func(raw []byte, count int) error {
@@ -181,11 +182,13 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 				select {
 				case promises <- out:
 				case <-stop:
+					putRawChunk(slot)
 					return errStopped
 				}
 				select {
-				case jobs <- job{raw: raw, count: count, origins: s.origins, out: out}:
+				case jobs <- job{raw: raw, slot: slot, count: count, origins: s.origins, out: out}:
 				case <-stop:
+					putRawChunk(slot)
 					out <- result{err: errStopped}
 					return errStopped
 				}
@@ -221,9 +224,7 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 				close(stop)
 			}
 		}
-		if res.recs != nil {
-			recPool.Put(res.recs[:cap(res.recs)])
-		}
+		putRecChunk(res.slot)
 	}
 	wg.Wait()
 	return err

@@ -49,8 +49,8 @@ const (
 // StreamWriter is a Sink that encodes records into the chunked v2 format as
 // they arrive, spilling to w instead of holding the trace in memory. Log
 // never drops records and is allocation-free outside origin interning and
-// amortized chunk flushes. Errors on the underlying writer are sticky:
-// check Err (or the Close result) after the run.
+// the first record's chunk acquisition. Errors on the underlying writer are
+// sticky: check Err (or the Close result) after the run.
 type StreamWriter struct {
 	w        *bufio.Writer
 	err      error
@@ -58,14 +58,17 @@ type StreamWriter struct {
 	origins  []string
 	originID map[string]uint32
 	sent     int // origins already emitted in 'O' frames (origin 0 implicit)
-	chunk    []Record
-	// enc is the chunk-sized encode scratch: flushChunk serializes the whole
-	// record chunk into it and hands the underlying writer one big Write
-	// instead of one 40-byte write per record. Allocated lazily at the first
-	// flush, then reused for the writer's lifetime.
-	enc      []byte
-	counters Counters
-	scratch  [RecordSize]byte
+	// frame is the pending record chunk, encoded in place: Log writes each
+	// record's 40 bytes straight into it and flushChunk hands the whole
+	// payload to the underlying writer as one frame. It is taken at the
+	// first Log and given back at Close, so a writer that is built but not
+	// yet logging holds no chunk; default-size frames come from the package
+	// recycler (framep is their slot, nil for other sizes).
+	frame        []byte
+	framep       *[]byte
+	chunkRecords int
+	counters     Counters
+	scratch      [4]byte
 }
 
 // NewStreamWriter returns a v2 stream writer with the default chunk size.
@@ -89,7 +92,8 @@ func NewStreamWriterSize(w io.Writer, chunkRecords int) *StreamWriter {
 		originID: make(map[string]uint32),
 		origins:  []string{"?"},
 		sent:     1,
-		chunk:    make([]Record, 0, chunkRecords),
+
+		chunkRecords: chunkRecords,
 	}
 	var hdr [8]byte
 	copy(hdr[0:], magic)
@@ -118,12 +122,12 @@ func (s *StreamWriter) Origin(name string) uint32 {
 	return id
 }
 
-// Log appends one record to the current chunk, flushing the chunk to the
+// Log encodes one record into the current chunk, flushing the chunk to the
 // underlying writer when full. StreamWriter never drops records. A record
 // whose Op is outside the defined enum tallies under Counters.Unknown (it is
 // still stored), keeping the footer invariant sum(ByOp)+Unknown == Total.
 //
-//lint:allocfree per-record hot path; chunk capacity is fixed at construction (TestStreamWriterLogZeroAlloc)
+//lint:allocfree per-record hot path; the chunk buffer is taken once, at the first record (TestStreamWriterLogZeroAlloc)
 func (s *StreamWriter) Log(r Record) {
 	if int(r.Op) < int(nOps) {
 		s.counters.ByOp[r.Op]++
@@ -131,10 +135,31 @@ func (s *StreamWriter) Log(r Record) {
 		s.counters.Unknown++
 	}
 	s.counters.Total++
-	s.chunk = append(s.chunk, r)
-	if len(s.chunk) == cap(s.chunk) {
+	if s.frame == nil {
+		s.takeFrame()
+	}
+	n := len(s.frame)
+	s.frame = s.frame[:n+RecordSize]
+	putRecord(s.frame[n:], r)
+	if len(s.frame) == cap(s.frame) {
 		s.flushChunk()
 	}
+}
+
+// takeFrame acquires the chunk buffer; the cold path of Log.
+func (s *StreamWriter) takeFrame() {
+	if s.chunkRecords == DefaultChunkRecords {
+		s.framep = getRawChunk()
+		s.frame = (*s.framep)[:0]
+		return
+	}
+	s.frame = make([]byte, 0, s.chunkRecords*RecordSize)
+}
+
+// releaseFrame gives the chunk buffer back once the stream is closed.
+func (s *StreamWriter) releaseFrame() {
+	putRawChunk(s.framep)
+	s.frame, s.framep = nil, nil
 }
 
 // flushChunk emits pending origins and the buffered records as frames.
@@ -142,39 +167,31 @@ func (s *StreamWriter) Log(r Record) {
 // buffered, so a Flush/Close after a trailing Origin call never drops them.
 func (s *StreamWriter) flushChunk() {
 	if s.err != nil {
-		s.chunk = s.chunk[:0]
+		s.frame = s.frame[:0]
 		return
 	}
 	if s.sent < len(s.origins) {
 		s.frameHeader(frameOrigins, uint32(len(s.origins)-s.sent))
 		for _, name := range s.origins[s.sent:] {
-			binary.LittleEndian.PutUint32(s.scratch[:4], uint32(len(name)))
-			s.write(s.scratch[:4])
+			binary.LittleEndian.PutUint32(s.scratch[:], uint32(len(name)))
+			s.write(s.scratch[:])
 			_, err := s.w.WriteString(name)
 			s.setErr(err)
 		}
 		s.sent = len(s.origins)
 	}
-	if len(s.chunk) == 0 {
+	if len(s.frame) == 0 {
 		return
 	}
-	s.frameHeader(frameRecords, uint32(len(s.chunk)))
-	need := len(s.chunk) * RecordSize
-	if cap(s.enc) < need {
-		s.enc = make([]byte, need)
-	}
-	enc := s.enc[:need]
-	for i, r := range s.chunk {
-		putRecord(enc[i*RecordSize:(i+1)*RecordSize], r)
-	}
-	s.write(enc)
-	s.chunk = s.chunk[:0]
+	s.frameHeader(frameRecords, uint32(len(s.frame)/RecordSize))
+	s.write(s.frame)
+	s.frame = s.frame[:0]
 }
 
 func (s *StreamWriter) frameHeader(kind byte, count uint32) {
 	s.setErr(s.w.WriteByte(kind))
-	binary.LittleEndian.PutUint32(s.scratch[:4], count)
-	s.write(s.scratch[:4])
+	binary.LittleEndian.PutUint32(s.scratch[:], count)
+	s.write(s.scratch[:])
 }
 
 func (s *StreamWriter) write(p []byte) {
@@ -190,15 +207,16 @@ func (s *StreamWriter) Flush() error {
 	return s.err
 }
 
-// Close flushes buffered records, writes the counters footer and flushes
-// the underlying writer (it does not close it). Further Close calls return
-// the sticky error without writing anything.
+// Close flushes buffered records, writes the counters footer, flushes the
+// underlying writer (it does not close it) and gives the chunk buffer back.
+// Further Close calls return the sticky error without writing anything.
 func (s *StreamWriter) Close() error {
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
 	s.flushChunk()
+	s.releaseFrame()
 	if s.err == nil {
 		s.setErr(s.w.WriteByte(frameCounters))
 		var buf [countersSize]byte
@@ -264,6 +282,12 @@ func (s *StreamReader) readFull(p []byte, what string) error {
 	if err == nil {
 		return nil
 	}
+	return s.readErr(what, err)
+}
+
+// readErr reports a failed read of what at the current offset. Callers
+// whose label needs formatting build it only on this error path.
+func (s *StreamReader) readErr(what string, err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return fmt.Errorf("trace: %s truncated at byte offset %d: %w", what, s.off, io.ErrUnexpectedEOF)
 	}
@@ -293,6 +317,7 @@ func (s *StreamReader) ForEach(fn func(Record)) error {
 // counters footer ends the walk. emit errors abort the walk unchanged.
 func (s *StreamReader) walkFrames(getBuf func(need int) []byte, emit func(raw []byte, count int) error) error {
 	var buf [8]byte
+	var name []byte // origin-name scratch, reused across origins
 	le := binary.LittleEndian
 	for {
 		kind, err := s.br.ReadByte()
@@ -320,9 +345,14 @@ func (s *StreamReader) walkFrames(getBuf func(need int) []byte, emit func(raw []
 				if n > 1<<16 {
 					return fmt.Errorf("trace: origin %d implausibly long (%d)", len(s.origins), n)
 				}
-				name := make([]byte, n)
-				if err := s.readFull(name, fmt.Sprintf("origin %d", len(s.origins))); err != nil {
-					return err
+				if uint32(cap(name)) < n {
+					name = make([]byte, n)
+				}
+				name = name[:n]
+				got, err := io.ReadFull(s.br, name)
+				s.off += int64(got)
+				if err != nil {
+					return s.readErr(fmt.Sprintf("origin %d", len(s.origins)), err)
 				}
 				s.origins = append(s.origins, string(name))
 			}

@@ -294,57 +294,15 @@ func LinuxWebserver(cfg Config) *Result {
 	// The server socket: each request is handled by a prefork worker
 	// (reused, so watchdog timer identities recur) that guards the
 	// connection with Apache's 15 s poll watchdog.
-	type worker struct {
-		th *kernel.Thread
-		// idle is the worker's self-kill watchdog, deferred by 30 s every
-		// time the worker handles a request — the webserver watchdogs of
-		// Figure 2 ("Apache uses watchdogs to timeout connections").
-		idle *kernel.PosixTimer
-	}
-	var workers []*worker
-	newWorker := func() *worker {
-		w := &worker{th: apache.NewThread()}
-		w.idle = apache.TimerCreate("worker-idle-watchdog", nil)
-		return w
-	}
+	srv := &apacheServer{sys: sys, proc: apache, logWrite: logWrite}
 	// Prefork: StartServers=10 workers exist (and arm their idle
 	// watchdogs) from boot, like the stock Apache configuration.
 	for i := 0; i < 10; i++ {
-		w := newWorker()
+		w := srv.newWorker()
 		w.idle.Settime(apacheWorkerIdleKill, 0)
-		workers = append(workers, w)
+		srv.workers = append(srv.workers, w)
 	}
-	rr := 0
-	getWorker := func() *worker {
-		if n := len(workers); n > 0 {
-			// Round-robin over the pool so every worker stays busy enough
-			// to keep deferring its watchdog.
-			rr++
-			i := rr % n
-			w := workers[i]
-			workers = append(workers[:i], workers[i+1:]...)
-			return w
-		}
-		return newWorker()
-	}
-	sys.stack.Listen(80, func(c *netsim.Conn) {
-		w := getWorker()
-		w.idle.Settime(apacheWorkerIdleKill, 0) // defer the self-kill watchdog
-		guard := w.th.Poll(apacheConnWatchdog, func(r kernel.SelectResult) {
-			workers = append(workers, w)
-			if r.TimedOut {
-				c.Close()
-			}
-		})
-		c.OnMessage = func(c *netsim.Conn, size int, _ any) {
-			guard.Complete()
-			// Process and respond: think time plus a log write.
-			sys.eng.After(sys.uniform(sim.Millisecond, 15*sim.Millisecond), "apache:handle", func() {
-				logWrite()
-				c.Send(2000+sys.rng.Intn(14000), "response", nil)
-			})
-		}
-	})
+	sys.stack.Listen(80, srv.accept)
 
 	// httperf on a separate machine (its own untraced timer base): the
 	// paper's 30000 requests over 30 minutes = 16.7 req/s, scaled to the
@@ -353,79 +311,129 @@ func LinuxWebserver(cfg Config) *Result {
 	if total < 1 {
 		total = 1
 	}
-	client := newHttperf(sys, "loadgen", total, 10, httperfStateTimeout)
-	client.start()
+	client := netsim.NewStack(sys.net, "loadgen", &netsim.LinuxFacility{Base: newUntracedBase(sys)})
+	newHttperf(sys.eng, sys.rng, client, "testbox", total, 10, httperfStateTimeout, sys.cfg.Duration).start()
 	return sys.finish(Webserver)
 }
 
-// httperf models the load generator: totalRequests spread over the trace,
-// at most parallel outstanding, each connection with a 5 s per-state
-// timeout, one request per connection.
-type httperf struct {
-	sys       *linuxSystem
-	stack     *netsim.Stack
-	total     int
-	parallel  int
-	stateTO   sim.Duration
-	issued    int
-	active    int
-	interval  sim.Duration
-	completed int
-	timedOut  int
+// apacheWorker is one prefork worker thread.
+type apacheWorker struct {
+	th *kernel.Thread
+	// idle is the worker's self-kill watchdog, deferred by 30 s every
+	// time the worker handles a request — the webserver watchdogs of
+	// Figure 2 ("Apache uses watchdogs to timeout connections").
+	idle *kernel.PosixTimer
 }
 
-func newHttperf(sys *linuxSystem, host string, total, parallel int, stateTO sim.Duration) *httperf {
-	h := &httperf{sys: sys, total: total, parallel: parallel, stateTO: stateTO}
-	h.stack = netsim.NewStack(sys.net, host, &netsim.LinuxFacility{Base: newUntracedBase(sys)})
-	h.interval = sys.cfg.Duration / sim.Duration(total)
-	return h
+// apacheServer is the prefork worker pool and the freelist of
+// per-connection handler state.
+type apacheServer struct {
+	sys      *linuxSystem
+	proc     *kernel.Process
+	logWrite func()
+	workers  []*apacheWorker
+	rr       int
+	free     []*apacheConn
 }
 
-func (h *httperf) start() {
-	var tick func()
-	tick = func() {
-		if h.issued >= h.total {
-			return
-		}
-		if h.active < h.parallel {
-			h.issued++
-			h.active++
-			h.request()
-		}
-		h.sys.eng.After(h.interval, "httperf:pace", tick)
+func (s *apacheServer) newWorker() *apacheWorker {
+	w := &apacheWorker{th: s.proc.NewThread()}
+	w.idle = s.proc.TimerCreate("worker-idle-watchdog", nil)
+	return w
+}
+
+// getWorker takes an idle worker, round-robin over the pool so every
+// worker stays busy enough to keep deferring its watchdog, or forks one.
+func (s *apacheServer) getWorker() *apacheWorker {
+	if n := len(s.workers); n > 0 {
+		s.rr++
+		i := s.rr % n
+		w := s.workers[i]
+		s.workers = append(s.workers[:i], s.workers[i+1:]...)
+		return w
 	}
-	h.sys.eng.After(h.interval, "httperf:pace", tick)
+	return s.newWorker()
 }
 
-func (h *httperf) request() {
-	sys := h.sys
-	done := false
-	finish := func(ok bool) {
-		if done {
-			return
-		}
-		done = true
-		h.active--
-		if ok {
-			h.completed++
-		} else {
-			h.timedOut++
-		}
+// accept hands a new connection to a worker, which guards it with its
+// poll watchdog.
+func (s *apacheServer) accept(c *netsim.Conn) {
+	w := s.getWorker()
+	w.idle.Settime(apacheWorkerIdleKill, 0) // defer the self-kill watchdog
+	ac := s.newConn()
+	ac.c, ac.w, ac.polling = c, w, true
+	ac.guard = w.th.Poll(apacheConnWatchdog, ac.pollFn)
+	c.OnMessage = ac.messageFn
+	c.OnClose = ac.closeFn
+}
+
+// apacheConn is one accepted connection's handler state. Its callbacks are
+// bound once; the struct and its connection are recycled once the
+// connection has closed, the guard poll has returned and no response is
+// still being prepared.
+type apacheConn struct {
+	s        *apacheServer
+	c        *netsim.Conn
+	w        *apacheWorker
+	guard    kernel.Pending
+	polling  bool
+	handling int
+
+	pollFn    func(kernel.SelectResult)
+	messageFn func(*netsim.Conn, int, any)
+	handleFn  func()
+	closeFn   func(error)
+}
+
+func (s *apacheServer) newConn() *apacheConn {
+	if n := len(s.free); n > 0 {
+		ac := s.free[n-1]
+		s.free = s.free[:n-1]
+		return ac
 	}
-	// Client-side 5 s state watchdog (untraced: it lives on the load
-	// generator).
-	watchdog := sys.eng.After(h.stateTO, "httperf:timeout", func() { finish(false) })
-	h.stack.Connect("testbox", 80, func(c *netsim.Conn, err error) {
-		if err != nil {
-			finish(false)
-			return
-		}
-		c.OnMessage = func(c *netsim.Conn, size int, _ any) {
-			// Response vs. watchdog race is the modeled behavior.
-			_ = sys.eng.Cancel(watchdog)
-			c.Close()
-			finish(true)
-		}
-		c.Send(200+sys.rng.Intn(300), "GET /", nil)
-	})
+	ac := &apacheConn{s: s}
+	ac.pollFn = ac.polled
+	ac.messageFn = ac.message
+	ac.handleFn = ac.handle
+	ac.closeFn = func(error) { ac.settle() }
+	return ac
+}
+
+// polled is the guard poll's return: the worker goes back to the pool and
+// a timed-out connection is closed.
+func (ac *apacheConn) polled(r kernel.SelectResult) {
+	ac.s.workers = append(ac.s.workers, ac.w)
+	ac.polling = false
+	if r.TimedOut {
+		ac.c.Close()
+	}
+	ac.settle()
+}
+
+// message handles the request: the poll returns early and the response
+// follows after the think time.
+func (ac *apacheConn) message(*netsim.Conn, int, any) {
+	ac.guard.Complete()
+	// Process and respond: think time plus a log write.
+	ac.handling++
+	sys := ac.s.sys
+	sys.eng.After(sys.uniform(sim.Millisecond, 15*sim.Millisecond), "apache:handle", ac.handleFn)
+}
+
+func (ac *apacheConn) handle() {
+	ac.handling--
+	ac.s.logWrite()
+	ac.c.Send(2000+ac.s.sys.rng.Intn(14000), "response", nil)
+	ac.settle()
+}
+
+// settle recycles the handler state and its connection once nothing can
+// call back into either.
+func (ac *apacheConn) settle() {
+	if ac.polling || ac.handling > 0 || ac.c.Established() {
+		return
+	}
+	ac.c.Release()
+	ac.c, ac.w, ac.guard = nil, nil, kernel.Pending{}
+	ac.s.free = append(ac.s.free, ac)
 }

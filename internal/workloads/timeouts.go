@@ -90,7 +90,7 @@ const (
 	apacheWorkerIdleKill = 30 * sim.Second
 	// apacheConnWatchdog: per-connection 15 s poll guard on the request path.
 	apacheConnWatchdog = 15 * sim.Second
-	// httperfStateTimeout: the load generator's --timeout 5 per-state watchdog from the paper's setup.
+	// httperfStateTimeout: the load generator's --timeout 5 per-state watchdog from the paper's setup (both webserver experiments).
 	httperfStateTimeout = 5 * sim.Second
 )
 

@@ -362,20 +362,8 @@ func VistaWebserver(cfg Config) *Result {
 		th := sys.k.NewThread(pid, fmt.Sprintf("httpd.exe!w%d", i))
 		sys.waitLoop(th, httpdWorkerPoll, 0.4)
 	}
-	sys.stack.Listen(80, func(c *netsim.Conn) {
-		// Per-connection guard via afd select, Windows style.
-		cancel := sys.k.AfdSelect(pid, "httpd.exe", httpdConnWatchdog, func(timedOut bool) {
-			if timedOut {
-				c.Close()
-			}
-		})
-		c.OnMessage = func(c *netsim.Conn, size int, _ any) {
-			cancel()
-			sys.eng.After(sys.uniform(sim.Millisecond, 15*sim.Millisecond), "httpd:handle", func() {
-				c.Send(2000+sys.rng.Intn(14000), "response", nil)
-			})
-		}
-	})
+	srv := &httpdServer{sys: sys, pid: pid}
+	sys.stack.Listen(80, srv.accept)
 	// 100 Mb switch: ~10× the latency, ~1/10 the bandwidth of the Linux
 	// experiment's gigabit LAN.
 	clientK := ktimer.NewKernel(sys.eng, trace.NewBuffer(0))
@@ -388,59 +376,86 @@ func VistaWebserver(cfg Config) *Result {
 	if total < 1 {
 		total = 1
 	}
-	h := &vistaHttperf{sys: sys, stack: clientStack, total: total, parallel: 10, stateTO: 5 * sim.Second}
-	h.start()
+	newHttperf(sys.eng, sys.rng, clientStack, "vistabox", total, 10, httperfStateTimeout, sys.cfg.Duration).start()
 	return sys.finish(Webserver)
 }
 
-type vistaHttperf struct {
-	sys      *vistaSystem
-	stack    *netsim.Stack
-	total    int
-	parallel int
-	stateTO  sim.Duration
-	issued   int
-	active   int
+// httpdServer is the Vista web server's accept path and the freelist of
+// its per-connection handler state.
+type httpdServer struct {
+	sys  *vistaSystem
+	pid  int32
+	free []*httpdConn
 }
 
-func (h *vistaHttperf) start() {
-	interval := h.sys.cfg.Duration / sim.Duration(h.total)
-	var tick func()
-	tick = func() {
-		if h.issued >= h.total {
-			return
-		}
-		if h.active < h.parallel {
-			h.issued++
-			h.active++
-			h.request()
-		}
-		h.sys.eng.After(interval, "httperf:pace", tick)
-	}
-	h.sys.eng.After(interval, "httperf:pace", tick)
+// accept guards a new connection with an afd select, Windows style.
+func (s *httpdServer) accept(c *netsim.Conn) {
+	hc := s.newConn()
+	hc.c, hc.selecting = c, true
+	hc.cancel = s.sys.k.AfdSelect(s.pid, "httpd.exe", httpdConnWatchdog, hc.selectFn)
+	c.OnMessage = hc.messageFn
+	c.OnClose = hc.closeFn
 }
 
-func (h *vistaHttperf) request() {
-	sys := h.sys
-	done := false
-	finish := func() {
-		if !done {
-			done = true
-			h.active--
-		}
+// httpdConn is one accepted connection's handler state. Its callbacks are
+// bound once; the struct and its connection are recycled once the
+// connection has closed, the guard select has returned and no response is
+// still being prepared.
+type httpdConn struct {
+	s         *httpdServer
+	c         *netsim.Conn
+	cancel    func()
+	selecting bool
+	handling  int
+
+	selectFn  func(bool)
+	messageFn func(*netsim.Conn, int, any)
+	handleFn  func()
+	closeFn   func(error)
+}
+
+func (s *httpdServer) newConn() *httpdConn {
+	if n := len(s.free); n > 0 {
+		hc := s.free[n-1]
+		s.free = s.free[:n-1]
+		return hc
 	}
-	watchdog := sys.eng.After(h.stateTO, "httperf:timeout", finish)
-	h.stack.Connect("vistabox", 80, func(c *netsim.Conn, err error) {
-		if err != nil {
-			finish()
-			return
-		}
-		c.OnMessage = func(c *netsim.Conn, size int, _ any) {
-			// Response vs. watchdog race is the modeled behavior.
-			_ = sys.eng.Cancel(watchdog)
-			c.Close()
-			finish()
-		}
-		c.Send(200+sys.rng.Intn(300), "GET /", nil)
-	})
+	hc := &httpdConn{s: s}
+	hc.selectFn = hc.selected
+	hc.messageFn = hc.message
+	hc.handleFn = hc.handle
+	hc.closeFn = func(error) { hc.settle() }
+	return hc
+}
+
+func (hc *httpdConn) selected(timedOut bool) {
+	hc.selecting = false
+	if timedOut {
+		hc.c.Close()
+	}
+	hc.settle()
+}
+
+func (hc *httpdConn) message(*netsim.Conn, int, any) {
+	hc.cancel()
+	hc.handling++
+	sys := hc.s.sys
+	sys.eng.After(sys.uniform(sim.Millisecond, 15*sim.Millisecond), "httpd:handle", hc.handleFn)
+}
+
+func (hc *httpdConn) handle() {
+	hc.handling--
+	hc.c.Send(2000+hc.s.sys.rng.Intn(14000), "response", nil)
+	hc.settle()
+}
+
+// settle recycles the handler state and its connection once nothing can
+// call back into either.
+func (hc *httpdConn) settle() {
+	if hc.selecting || hc.handling > 0 || hc.c.Established() {
+		return
+	}
+	hc.c.Release()
+	hc.c, hc.cancel = nil, nil
+	hc.s.free = append(hc.s.free, hc)
 }
