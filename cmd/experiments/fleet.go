@@ -38,40 +38,23 @@ var (
 	pollFl       = flag.String("poll", "", "fleet: poll a timerstat -serve command hub at this base URL for steering commands")
 )
 
-// fleetBench is the "fleet" key a plain run merges into the -bench report.
-type fleetBench struct {
-	Hosts            int     `json:"hosts"`
-	Webservers       int     `json:"webservers"`
-	Desktops         int     `json:"desktops"`
-	Workers          int     `json:"workers"`
-	VirtualDuration  string  `json:"virtual_duration"`
-	LookaheadUS      float64 `json:"lookahead_us"`
-	Windows          int     `json:"windows"`
-	Events           uint64  `json:"events"`
-	CumulativeTimers uint64  `json:"cumulative_timers"`
-	Records          uint64  `json:"records_total"`
-	MessagesSent     uint64  `json:"messages_sent"`
-	MessagesLost     uint64  `json:"messages_lost"`
-	WallMSSerial     float64 `json:"wall_ms_serial"`
-	WallMSParallel   float64 `json:"wall_ms_parallel"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	SpeedupVsWorkers float64 `json:"speedup_vs_workers"`
-	Digest           string  `json:"digest"`
-	Deterministic    bool    `json:"deterministic"`
-}
-
-// controlBench is the "control" key every other fleet run merges into the
-// -bench report.
-type controlBench struct {
-	Hosts           int     `json:"hosts"`
-	Workers         int     `json:"workers"`
-	Windows         int     `json:"windows"`
-	CommandsApplied int     `json:"commands_applied"`
-	CheckpointMS    float64 `json:"checkpoint_ms"`
-	CheckpointBytes int     `json:"checkpoint_bytes"`
-	ResumeForwardMS float64 `json:"resume_fastforward_ms"`
-	WallMS          float64 `json:"wall_ms"`
-	Digest          string  `json:"digest"`
+// fleetCounts is the key a completed -fleet run merges into the -bench
+// report: "fleet" for a plain run, "control" for a steered, replayed or
+// resumed one. Every field is a pure function of the spec and the command
+// log, so it is the same at any worker count.
+type fleetCounts struct {
+	Hosts             int    `json:"hosts"`
+	VirtualDuration   string `json:"virtual_duration"`
+	Windows           int    `json:"windows"`
+	Events            uint64 `json:"events"`
+	CumulativeTimers  uint64 `json:"cumulative_timers"`
+	Records           uint64 `json:"records_total"`
+	MessagesSent      uint64 `json:"messages_sent"`
+	MessagesDelivered uint64 `json:"messages_delivered"`
+	MessagesLost      uint64 `json:"messages_lost"`
+	CommandsApplied   int    `json:"commands_applied,omitempty"`
+	CheckpointBytes   int    `json:"checkpoint_bytes,omitempty"`
+	Digest            string `json:"digest"`
 }
 
 // fleetSpec builds the run identity from the fleet flags: 1/8 of the hosts
@@ -88,42 +71,39 @@ func fleetSpec() control.Spec {
 
 // openPlane builds the plane the flags describe: resumed from a checkpoint,
 // replaying a recorded command log, or fresh from the fleet flags.
-func openPlane(opts []control.Option) (*control.Plane, time.Duration, error) {
+func openPlane(opts []control.Option) (*control.Plane, error) {
 	switch {
 	case *resumeFl != "":
 		data, err := os.ReadFile(*resumeFl)
 		if err != nil {
-			return nil, 0, fmt.Errorf("-resume: %w", err)
+			return nil, fmt.Errorf("-resume: %w", err)
 		}
 		cp, err := trace.ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {
-			return nil, 0, fmt.Errorf("-resume: %w", err)
+			return nil, fmt.Errorf("-resume: %w", err)
 		}
-		t0 := time.Now()
 		p, err := control.Resume(cp, opts...)
-		fwd := time.Since(t0)
 		if err == nil {
-			fmt.Printf("fleet: resumed %q at window %d (fast-forward %.0f ms, %d hosts verified)\n",
-				cp.Label, cp.Window, fwd.Seconds()*1e3, len(cp.Hosts))
+			fmt.Printf("fleet: resumed %q at window %d (%d hosts verified)\n",
+				cp.Label, cp.Window, len(cp.Hosts))
 		}
-		return p, fwd, err
+		return p, err
 	case *replayCmdFl != "":
 		data, err := os.ReadFile(*replayCmdFl)
 		if err != nil {
-			return nil, 0, fmt.Errorf("-replay-commands: %w", err)
+			return nil, fmt.Errorf("-replay-commands: %w", err)
 		}
 		log, err := control.DecodeCommands(data)
 		if err != nil {
-			return nil, 0, fmt.Errorf("-replay-commands: %w", err)
+			return nil, fmt.Errorf("-replay-commands: %w", err)
 		}
 		p, err := control.Replay(fleetSpec(), log, opts...)
 		if err == nil {
 			fmt.Printf("fleet: replaying %d recorded commands\n", len(log))
 		}
-		return p, 0, err
+		return p, err
 	default:
-		p, err := control.NewPlane(fleetSpec(), opts...)
-		return p, 0, err
+		return control.NewPlane(fleetSpec(), opts...)
 	}
 }
 
@@ -164,7 +144,7 @@ func runFleet() int {
 		defer closeEmit()
 		opts = append(opts, control.WithSink(newSink))
 	}
-	p, resumeFwd, err := openPlane(opts)
+	p, err := openPlane(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
@@ -214,15 +194,10 @@ func runFleet() int {
 	}
 	wall := time.Since(start)
 
-	var (
-		ckptWall time.Duration
-		ckpt     bytes.Buffer
-	)
+	var ckpt bytes.Buffer
 	if *checkpointFl != "" {
-		t0 := time.Now()
 		cp := p.Checkpoint("experiments -checkpoint")
 		err := trace.WriteCheckpoint(&ckpt, cp)
-		ckptWall = time.Since(t0)
 		if err == nil {
 			err = os.WriteFile(*checkpointFl, ckpt.Bytes(), 0o644)
 		}
@@ -230,8 +205,8 @@ func runFleet() int {
 			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
 			return 1
 		}
-		fmt.Printf("fleet: checkpoint %s at window %d (%d hosts, %d bytes, %.1f ms)\n",
-			*checkpointFl, cp.Window, len(cp.Hosts), ckpt.Len(), ckptWall.Seconds()*1e3)
+		fmt.Printf("fleet: checkpoint %s at window %d (%d hosts, %d bytes)\n",
+			*checkpointFl, cp.Window, len(cp.Hosts), ckpt.Len())
 	}
 
 	digest := ""
@@ -267,54 +242,33 @@ func runFleet() int {
 		}
 		fmt.Printf("fleet: recorded %d commands to %s\n", len(history), *recordCmdFl)
 	}
+	// The mode table rejects -bench with -stop-window, so a report key
+	// always comes from a completed run that passed its determinism check.
+	if !deterministic {
+		return 1
+	}
 	if *benchFl != "" {
-		var key string
-		var v any
+		key := "control"
 		if plain {
-			serial := refWall
-			if serial == 0 {
-				serial = wall
-			}
-			key, v = "fleet", fleetBench{
-				Hosts:            spec.Webservers + spec.Desktops,
-				Webservers:       spec.Webservers,
-				Desktops:         spec.Desktops,
-				Workers:          workers,
-				VirtualDuration:  spec.End.String(),
-				LookaheadUS:      float64(stats.Lookahead) / float64(sim.Microsecond),
-				Windows:          stats.Windows,
-				Events:           stats.Events,
-				CumulativeTimers: c.ByOp[trace.OpSet],
-				Records:          c.Total,
-				MessagesSent:     stats.Sent,
-				MessagesLost:     stats.Lost,
-				WallMSSerial:     serial.Seconds() * 1e3,
-				WallMSParallel:   wall.Seconds() * 1e3,
-				EventsPerSec:     float64(stats.Events) / wall.Seconds(),
-				SpeedupVsWorkers: serial.Seconds() / wall.Seconds(),
-				Digest:           digest,
-				Deterministic:    deterministic,
-			}
-		} else {
-			key, v = "control", controlBench{
-				Hosts:           spec.Webservers + spec.Desktops,
-				Workers:         workers,
-				Windows:         p.Windows(),
-				CommandsApplied: len(p.CommandLog()),
-				CheckpointMS:    ckptWall.Seconds() * 1e3,
-				CheckpointBytes: ckpt.Len(),
-				ResumeForwardMS: resumeFwd.Seconds() * 1e3,
-				WallMS:          wall.Seconds() * 1e3,
-				Digest:          digest,
-			}
+			key = "fleet"
 		}
-		if err := mergeBenchKey(*benchFl, key, v); err != nil {
+		if err := mergeBenchKey(*benchFl, key, fleetCounts{
+			Hosts:             spec.Webservers + spec.Desktops,
+			VirtualDuration:   spec.End.String(),
+			Windows:           stats.Windows,
+			Events:            stats.Events,
+			CumulativeTimers:  c.ByOp[trace.OpSet],
+			Records:           c.Total,
+			MessagesSent:      stats.Sent,
+			MessagesDelivered: stats.Delivered,
+			MessagesLost:      stats.Lost,
+			CommandsApplied:   len(p.CommandLog()),
+			CheckpointBytes:   ckpt.Len(),
+			Digest:            digest,
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
 			return 1
 		}
-	}
-	if !deterministic {
-		return 1
 	}
 	return 0
 }

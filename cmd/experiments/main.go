@@ -14,13 +14,14 @@
 //	experiments              # full 30-minute virtual traces (the paper's length)
 //	experiments -quick       # 2-minute traces for a fast look
 //	experiments -j 4         # cap the worker pool (default GOMAXPROCS)
-//	experiments -bench f.json # also write machine-readable wall-clock timings
+//	experiments -bench f.json # also write the deterministic counts report
 //	experiments -fleet       # the datacenter fleet under the control plane
 //	experiments -list        # every mode, its flags, workloads and commands
 package main
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,7 +30,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"timerstudy/internal/analysis"
@@ -49,7 +49,7 @@ var (
 	seedFlag  = flag.Int64("seed", 1, "simulation seed")
 	quick     = flag.Bool("quick", false, "use 2-minute traces")
 	workersFl = flag.Int("j", 0, "workload worker pool size (0 = GOMAXPROCS)")
-	benchFl   = flag.String("bench", "", "write a machine-readable timing report (JSON) to this file")
+	benchFl   = flag.String("bench", "", "write the deterministic counts report (JSON) to this file")
 	spillFl   = flag.Bool("spill", false, "stream each trace to a temp file during the run and analyze it from disk (bounded memory)")
 	strictFl  = flag.Bool("strict", false, "exit nonzero if any run dropped trace records")
 	cpuproFl  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -177,31 +177,30 @@ type experimentSet struct {
 	vista        []artifacts
 	desktopRates []analysis.RateSeries
 	relations    []analysis.InferredRelation
-	dropped      []droppedRun
+	runs         []benchRun // one per trace, in spec order
 }
 
-// droppedRun records a workload whose trace buffer overflowed: its analyses
-// silently cover only the stored prefix.
-type droppedRun struct {
-	os, name       string
-	dropped, total uint64
-}
-
-// warnDropped prints a warning per overflowed run and reports whether any
+// warnDropped prints a warning per run whose trace buffer overflowed (its
+// analyses silently cover only the stored prefix) and reports whether any
 // run dropped records.
 func warnDropped(w io.Writer, set experimentSet) bool {
-	for _, d := range set.dropped {
+	dropped := false
+	for _, r := range set.runs {
+		if r.Dropped == 0 {
+			continue
+		}
 		fmt.Fprintf(w, "WARNING: %s/%s dropped %d of %d trace records (buffer full); its analyses cover only the stored prefix — rerun with -spill or a larger trace cap\n",
-			d.os, d.name, d.dropped, d.total)
+			r.OS, r.Workload, r.Dropped, r.Dropped+r.Records)
+		dropped = true
 	}
-	return len(set.dropped) > 0
+	return dropped
 }
 
 // computeExperiments runs the ten evaluation traces on a pool of workers
 // and reduces each to its artifacts inside the worker goroutine. With spill
 // the traces stream to temp files instead of memory; the artifacts are
 // byte-identical (TestSpillMatchesMemory).
-func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, bench *benchReport) (experimentSet, error) {
+func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool) (experimentSet, error) {
 	cfg := workloads.Config{Seed: seed, Duration: dur}
 	specs := workloads.EvaluationSpecs(cfg)
 	desktopIdx := len(specs) - 1
@@ -216,105 +215,48 @@ func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, b
 		names: workloads.LinuxWorkloads(),
 		linux: make([]artifacts, len(workloads.LinuxWorkloads())),
 		vista: make([]artifacts, len(workloads.VistaWorkloads())),
+		runs:  make([]benchRun, len(specs)),
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	timings := make([]runTiming, len(specs))
 	errs := make([]error, len(specs))
-
-	var phase0 runtime.MemStats
-	if bench != nil {
-		runtime.ReadMemStats(&phase0)
-	}
-	start := time.Now()
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(specs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				var m0, m1 runtime.MemStats
-				if bench != nil {
-					// Global counters: under a parallel pool each delta
-					// includes neighbouring workers' allocations, so
-					// per-run numbers are upper bounds there (workers=1
-					// is exact). Totals use the phase-wide delta, which
-					// is exact at any worker count.
-					runtime.ReadMemStats(&m0)
-				}
-				t0 := time.Now()
-				var t1 time.Time
-				res, err := runSpec(specs[i], spill, func(res *workloads.Result, src trace.Source) error {
-					t1 = time.Now()
-					switch {
-					case i < len(set.linux):
-						a, err := analyze(res, src)
-						if err != nil {
-							return err
-						}
-						set.linux[i] = a
-					case i < desktopIdx:
-						a, err := analyze(res, src)
-						if err != nil {
-							return err
-						}
-						set.vista[i-len(set.linux)] = a
-					case i == desktopIdx:
-						set.desktopRates = analysis.SetRates(src, res.Duration, workloads.DesktopGrouper())
-					case i == relationsIdx:
-						set.relations = analysis.InferRelations(analysis.Lifecycles(src), analysis.InferOptions{})
-					}
-					return nil
-				})
+	workloads.ForEachIndex(len(specs), workers, func(i int) {
+		res, err := runSpec(specs[i], spill, func(res *workloads.Result, src trace.Source) error {
+			switch {
+			case i < len(set.linux):
+				a, err := analyze(res, src)
 				if err != nil {
-					errs[i] = fmt.Errorf("%s/%s: %w", specs[i].OS, specs[i].Name, err)
-					continue
+					return err
 				}
-				if t1.IsZero() {
-					t1 = time.Now()
+				set.linux[i] = a
+			case i < desktopIdx:
+				a, err := analyze(res, src)
+				if err != nil {
+					return err
 				}
-				timings[i] = runTiming{
-					run:     t1.Sub(t0),
-					analyze: time.Since(t1),
-					records: int(res.Counters.Total - res.Counters.Dropped),
-					dropped: res.Counters.Dropped,
-				}
-				if bench != nil {
-					runtime.ReadMemStats(&m1)
-					timings[i].mallocs = m1.Mallocs - m0.Mallocs
-					timings[i].allocBytes = m1.TotalAlloc - m0.TotalAlloc
-				}
+				set.vista[i-len(set.linux)] = a
+			case i == desktopIdx:
+				set.desktopRates = analysis.SetRates(src, res.Duration, workloads.DesktopGrouper())
+			case i == relationsIdx:
+				set.relations = analysis.InferRelations(analysis.Lifecycles(src), analysis.InferOptions{})
 			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	wall := time.Since(start)
-	var phaseMallocs, phaseBytes uint64
-	if bench != nil {
-		var phase1 runtime.MemStats
-		runtime.ReadMemStats(&phase1)
-		phaseMallocs = phase1.Mallocs - phase0.Mallocs
-		phaseBytes = phase1.TotalAlloc - phase0.TotalAlloc
-	}
-	for i, e := range errs {
+			return nil
+		})
+		if err != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", specs[i].OS, specs[i].Name, err)
+			return
+		}
+		set.runs[i] = benchRun{
+			OS:       specs[i].OS,
+			Workload: specs[i].Name,
+			Virtual:  specs[i].Cfg.Duration.String(),
+			Records:  res.Counters.Total - res.Counters.Dropped,
+			Dropped:  res.Counters.Dropped,
+		}
+	})
+	for _, e := range errs {
 		if e != nil {
 			return set, e
 		}
-		if timings[i].dropped > 0 {
-			set.dropped = append(set.dropped, droppedRun{
-				os: specs[i].OS, name: specs[i].Name,
-				dropped: timings[i].dropped,
-				total:   timings[i].dropped + uint64(timings[i].records),
-			})
-		}
 	}
-	bench.recordCompute(specs, timings, workers, wall, phaseMallocs, phaseBytes)
 	return set, nil
 }
 
@@ -327,66 +269,52 @@ func header(s string) { headerTo(os.Stdout, s) }
 // writeFigures prints Tables 1-3 and Figures 1-11 from a computed set. It
 // is deterministic: same set in, same bytes out, regardless of how the set
 // was computed.
-func writeFigures(w io.Writer, s experimentSet, bench *benchReport) {
+func writeFigures(w io.Writer, s experimentSet) {
 	names := s.names
 
-	bench.section("table-1-linux-summary", func() {
-		headerTo(w, "Table 1: Linux trace summary")
-		printSummaries(w, s.linux, false)
-	})
-	bench.section("table-2-vista-summary", func() {
-		headerTo(w, "Table 2: Vista trace summary (timers clustered by call site, as Section 3.3)")
-		printSummaries(w, s.vista, true)
-	})
+	headerTo(w, "Table 1: Linux trace summary")
+	printSummaries(w, s.linux, false)
+	headerTo(w, "Table 2: Vista trace summary (timers clustered by call site, as Section 3.3)")
+	printSummaries(w, s.vista, true)
 
-	bench.section("figure-1-desktop-rates", func() {
-		headerTo(w, "Figure 1: Timer usage frequency in Vista (90 s desktop trace)")
-		fmt.Fprint(w, analysis.RenderRates(s.desktopRates))
-	})
+	headerTo(w, "Figure 1: Timer usage frequency in Vista (90 s desktop trace)")
+	fmt.Fprint(w, analysis.RenderRates(s.desktopRates))
 
-	bench.section("figure-2-class-shares", func() {
-		headerTo(w, "Figure 2: Common Linux timer usage patterns (% of timers)")
-		shares := make([]analysis.ClassShares, len(s.linux))
-		for i := range s.linux {
-			shares[i] = s.linux[i].shares
-		}
-		fmt.Fprint(w, analysis.RenderClassShares(names, shares))
-	})
+	headerTo(w, "Figure 2: Common Linux timer usage patterns (% of timers)")
+	shares := make([]analysis.ClassShares, len(s.linux))
+	for i := range s.linux {
+		shares[i] = s.linux[i].shares
+	}
+	fmt.Fprint(w, analysis.RenderClassShares(names, shares))
 
-	bench.section("figures-3-7-value-histograms", func() {
-		headerTo(w, "Figure 3: Common Linux timer values (>=2%)")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
-		}
-		headerTo(w, "Figure 4: X server select countdown (idle trace)")
-		fmt.Fprint(w, analysis.RenderSeries(s.linux[0].series, s.dur))
-		headerTo(w, "Figure 5: Common Linux values, X/icewm filtered, countdowns collapsed")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesF))
-		}
-		headerTo(w, "Figure 6: Common Linux syscall (user-space) timer values")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesU))
-		}
-		headerTo(w, "Figure 7: Common Vista timeout values")
-		for _, a := range s.vista {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
-		}
-	})
+	headerTo(w, "Figure 3: Common Linux timer values (>=2%)")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
+	}
+	headerTo(w, "Figure 4: X server select countdown (idle trace)")
+	fmt.Fprint(w, analysis.RenderSeries(s.linux[0].series, s.dur))
+	headerTo(w, "Figure 5: Common Linux values, X/icewm filtered, countdowns collapsed")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesF))
+	}
+	headerTo(w, "Figure 6: Common Linux syscall (user-space) timer values")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesU))
+	}
+	headerTo(w, "Figure 7: Common Vista timeout values")
+	for _, a := range s.vista {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
+	}
 
-	bench.section("figures-8-11-scatter", func() {
-		figNames := []string{"Figure 8 (Idle)", "Figure 9 (Skype)", "Figure 10 (Firefox)", "Figure 11 (Webserver)"}
-		for i := range names {
-			headerTo(w, figNames[i]+": expiry/cancelation time vs timeout value")
-			fmt.Fprintf(w, "-- Linux --\n%s", analysis.RenderScatter(s.linux[i].scatter))
-			fmt.Fprintf(w, "-- Vista --\n%s", analysis.RenderScatter(s.vista[i].scatter))
-		}
-	})
+	figNames := []string{"Figure 8 (Idle)", "Figure 9 (Skype)", "Figure 10 (Firefox)", "Figure 11 (Webserver)"}
+	for i := range names {
+		headerTo(w, figNames[i]+": expiry/cancelation time vs timeout value")
+		fmt.Fprintf(w, "-- Linux --\n%s", analysis.RenderScatter(s.linux[i].scatter))
+		fmt.Fprintf(w, "-- Vista --\n%s", analysis.RenderScatter(s.vista[i].scatter))
+	}
 
-	bench.section("table-3-origins", func() {
-		headerTo(w, "Table 3: Origins and classification of frequent Linux timeout values")
-		fmt.Fprint(w, analysis.RenderOrigins(mergeOrigins(s.linux)))
-	})
+	headerTo(w, "Table 3: Origins and classification of frequent Linux timeout values")
+	fmt.Fprint(w, analysis.RenderOrigins(mergeOrigins(s.linux)))
 }
 
 func main() {
@@ -441,62 +369,34 @@ func runPaper() int {
 		}()
 	}
 
-	var bench *benchReport
-	if *benchFl != "" {
-		bench = &benchReport{Config: benchConfig{
-			Seed:            *seedFlag,
-			VirtualPerTrace: dur.String(),
-			Quick:           *quick,
-			Workers:         *workersFl,
-			GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		}}
-	}
-
-	set, err := computeExperiments(*seedFlag, dur, *workersFl, *spillFl, bench)
+	set, err := computeExperiments(*seedFlag, dur, *workersFl, *spillFl)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
 	}
-	writeFigures(os.Stdout, set, bench)
+	writeFigures(os.Stdout, set)
 	if warnDropped(os.Stderr, set) && *strictFl {
 		fmt.Fprintln(os.Stderr, "experiments: -strict: trace records were dropped")
 		return 1
 	}
 
-	bench.section("section-3.2-overhead", func() {
-		header("Section 3.2: instrumentation overhead")
-		overheadExperiment(cfg)
-	})
-	bench.section("section-2.2.2-layers", func() {
-		header("Section 2.2.2: layered timeouts (open a file share)")
-		layersExperiment()
-	})
-	bench.section("section-5.1-adaptive", func() {
-		header("Section 5.1: adaptive timeouts vs the fixed 30 s")
-		adaptiveExperiment()
-	})
-	bench.section("section-5.3-coalescing", func() {
-		header("Section 5.3: slack windows, round_jiffies, dynticks vs CPU wakeups")
-		coalescingExperiment()
-	})
-	bench.section("section-5.2-relations", func() {
-		header("Section 5.2: timer relations inferred from the webserver trace")
-		fmt.Print(analysis.RenderRelations(set.relations))
-	})
-	bench.section("section-5.5-dispatcher", func() {
-		header("Section 5.5: timers merged into the CPU dispatcher")
-		dispatcherExperiment()
-	})
-	bench.section("related-work-soft-timers", func() {
-		header("Related work: soft timers (Aron & Druschel) on this substrate")
-		softTimerExperiment()
-	})
+	header("Section 3.2: instrumentation overhead")
+	overheadExperiment(cfg)
+	header("Section 2.2.2: layered timeouts (open a file share)")
+	layersExperiment()
+	header("Section 5.1: adaptive timeouts vs the fixed 30 s")
+	adaptiveExperiment()
+	header("Section 5.3: slack windows, round_jiffies, dynticks vs CPU wakeups")
+	coalescingExperiment()
+	header("Section 5.2: timer relations inferred from the webserver trace")
+	fmt.Print(analysis.RenderRelations(set.relations))
+	header("Section 5.5: timers merged into the CPU dispatcher")
+	dispatcherExperiment()
+	header("Related work: soft timers (Aron & Druschel) on this substrate")
+	softTimerExperiment()
 
-	if bench != nil {
-		bench.section("stream-codec-bench", func() {
-			bench.Stream = streamBench()
-		})
-		if err := bench.writeFile(*benchFl); err != nil {
+	if *benchFl != "" {
+		if err := writeJSON(*benchFl, newBenchReport(*seedFlag, set)); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
 			return 1
 		}
@@ -519,265 +419,41 @@ func runPaper() int {
 }
 
 // ---------------------------------------------------------------------------
-// Bench report: machine-readable wall-clock timings (BENCH_experiments.json).
+// Bench report: the deterministic counts report (BENCH_experiments.json).
+// Every field is a pure function of the seed and the trace sizes, so a
+// regeneration matches the committed file byte for byte at any worker
+// count or GOMAXPROCS; host timings belong to the _perfbench harness.
 
-type runTiming struct {
-	run        time.Duration
-	analyze    time.Duration
-	records    int // stored (analyzed) records
-	dropped    uint64
-	mallocs    uint64
-	allocBytes uint64
-}
-
-type benchConfig struct {
-	Seed            int64  `json:"seed"`
-	VirtualPerTrace string `json:"virtual_per_trace"`
-	Quick           bool   `json:"quick"`
-	Workers         int    `json:"workers"` // 0 = GOMAXPROCS
-	GOMAXPROCS      int    `json:"gomaxprocs"`
-	// AllocNote flags when per-run alloc columns are upper bounds: the
-	// runtime counters are process-global, so with workers > 1 each run's
-	// delta absorbs its neighbours'. Totals are exact either way.
-	AllocNote string `json:"alloc_note,omitempty"`
-}
-
+// benchRun is one evaluation trace's record counts.
 type benchRun struct {
-	OS            string  `json:"os"`
-	Workload      string  `json:"workload"`
-	Virtual       string  `json:"virtual"`
-	RunMS         float64 `json:"run_ms"`
-	AnalyzeMS     float64 `json:"analyze_ms"`
-	Records       int     `json:"records"`
-	RecordsPerSec float64 `json:"records_per_sec"` // analysis throughput
-	// Allocs/AllocMB cover run+analyze together (one ReadMemStats delta);
-	// AllocsPerRecord = Allocs / Records, the figure the zero-allocation
-	// engine work drives toward zero.
-	Allocs          uint64  `json:"allocs"`
-	AllocMB         float64 `json:"alloc_mb"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-}
-
-type benchSection struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-type benchTotals struct {
-	// ComputeWallMS is the observed wall-clock of the parallel run+analyze
-	// phase; RunWallSumMS is what the same work costs serially (sum over
-	// runs). Their ratio estimates the fan-out speedup on this host — but
-	// only when workers <= GOMAXPROCS: an oversubscribed pool time-slices,
-	// each run's wall then includes its neighbours' work, and the ratio
-	// overstates. SpeedupVsSerial is 0 in that case.
-	ComputeWallMS   float64 `json:"compute_wall_ms"`
-	RunWallSumMS    float64 `json:"run_wall_sum_ms"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial_estimate,omitempty"`
-	RecordsAnalyzed int     `json:"records_analyzed"`
-	RecordsPerSec   float64 `json:"records_per_sec"`
-	// Whole-compute-phase allocation totals from one ReadMemStats delta
-	// around the pool: exact at any worker count.
-	Allocs          uint64  `json:"allocs"`
-	AllocMB         float64 `json:"alloc_mb"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-}
-
-// benchStream reports v2 stream-codec and analysis throughput, measured
-// over an in-memory synthetic trace so disk speed doesn't pollute the
-// numbers.
-type benchStream struct {
-	Records         int     `json:"records"`
-	Bytes           int     `json:"bytes"`
-	EncodeMS        float64 `json:"encode_ms"`
-	DecodeMS        float64 `json:"decode_ms"`
-	EncodeMBPerSec  float64 `json:"encode_mb_per_sec"`
-	DecodeMBPerSec  float64 `json:"decode_mb_per_sec"`
-	EncodeRecPerSec float64 `json:"encode_records_per_sec"`
-	DecodeRecPerSec float64 `json:"decode_records_per_sec"`
-	// Analyze throughput runs the full artifact pipeline over the encoded
-	// stream: serial is Pipeline.Run, parallel is Pipeline.RunParallel at
-	// GOMAXPROCS, and the scaling map records MB/s per worker count
-	// (keys "1", "2", ...). Parallel speedup is host-dependent: on a
-	// single-CPU machine parallel equals serial.
-	AnalyzeMBPerSec         float64            `json:"analyze_mb_per_sec"`
-	AnalyzeRecPerSec        float64            `json:"analyze_records_per_sec"`
-	AnalyzeParallelMBPerSec float64            `json:"analyze_parallel_mb_per_sec"`
-	AnalyzeWorkerScaling    map[string]float64 `json:"analyze_worker_mb_per_sec"`
+	OS       string `json:"os"`
+	Workload string `json:"workload"`
+	Virtual  string `json:"virtual"`
+	Records  uint64 `json:"records"` // stored (analyzed) records
+	Dropped  uint64 `json:"dropped"`
 }
 
 type benchReport struct {
-	Config   benchConfig    `json:"config"`
-	Runs     []benchRun     `json:"runs"`
-	Sections []benchSection `json:"sections"`
-	Stream   *benchStream   `json:"stream,omitempty"`
-	Totals   benchTotals    `json:"totals"`
+	Seed            int64      `json:"seed"`
+	VirtualPerTrace string     `json:"virtual_per_trace"`
+	Runs            []benchRun `json:"runs"`
+	// FiguresSHA256 pins the rendered Tables 1-3 and Figures 1-11.
+	FiguresSHA256 string `json:"figures_sha256"`
 }
 
-// streamBench encodes a synthetic trace through StreamWriter, replays it
-// through StreamReader, and runs the artifact pipeline over it serially and
-// at a worker sweep, reporting throughput for every stage. Origins are
-// interned and the buffer pre-sized before the encode clock starts, so
-// encode_mb_per_sec measures the codec, not fmt.Sprintf or bytes.Buffer
-// regrowth.
-func streamBench() *benchStream {
-	const n = 1 << 21
-	names := make([]string, 64)
-	for i := range names {
-		names[i] = fmt.Sprintf("bench/origin-%d", i)
-	}
-	var buf bytes.Buffer
-	buf.Grow(n*trace.RecordSize + n/64) // records + ample frame/footer headroom
-	sw := trace.NewStreamWriter(&buf)
-	origins := make([]uint32, len(names))
-	for i, name := range names {
-		origins[i] = sw.Origin(name)
-	}
-	r := trace.Record{Op: trace.OpSet, Timeout: int64(10 * sim.Millisecond)}
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		r.T = sim.Time(i)
-		r.TimerID = uint64(i % 1024)
-		r.Origin = origins[i%len(origins)]
-		sw.Log(r)
-	}
-	if err := sw.Close(); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	enc := time.Since(t0)
-
-	t0 = time.Now()
-	sr, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		panic(err)
-	}
-	got := 0
-	if err := sr.ForEach(func(trace.Record) { got++ }); err != nil || got != n {
-		panic(fmt.Sprintf("stream bench replay: %d records, %v", got, err))
-	}
-	dec := time.Since(t0)
-
-	// Analysis throughput over the same encoded stream, with the full
-	// artifact configuration the evaluation runs use.
-	sOpts := analysis.DefaultScatterOptions()
-	p := analysis.Pipeline{
-		Values:        analysis.ValueOptions{JiffyBinKernel: true, MinSharePercent: 2},
-		Scatter:       &sOpts,
-		SeriesProcess: "Xorg",
-		OriginMinSets: 50,
-	}
-	analyzePass := func(workers int) time.Duration {
-		sr, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			panic(err)
-		}
-		t0 := time.Now()
-		if workers == 0 {
-			_, err = p.Run(sr)
-		} else {
-			_, err = p.RunParallel(sr, workers)
-		}
-		if err != nil {
-			panic(err)
-		}
-		return time.Since(t0)
-	}
-	mb := float64(buf.Len()) / (1 << 20)
-	serial := analyzePass(0)
-	maxWorkers := runtime.GOMAXPROCS(0)
-	parallel := analyzePass(maxWorkers)
-	scaling := map[string]float64{}
-	for _, w := range []int{1, 2, 4, maxWorkers} {
-		key := fmt.Sprintf("%d", w)
-		if _, done := scaling[key]; done {
-			continue
-		}
-		scaling[key] = mb / analyzePass(w).Seconds()
-	}
-
-	return &benchStream{
-		Records:                 n,
-		Bytes:                   buf.Len(),
-		EncodeMS:                ms(enc),
-		DecodeMS:                ms(dec),
-		EncodeMBPerSec:          mb / enc.Seconds(),
-		DecodeMBPerSec:          mb / dec.Seconds(),
-		EncodeRecPerSec:         float64(n) / enc.Seconds(),
-		DecodeRecPerSec:         float64(n) / dec.Seconds(),
-		AnalyzeMBPerSec:         mb / serial.Seconds(),
-		AnalyzeRecPerSec:        float64(n) / serial.Seconds(),
-		AnalyzeParallelMBPerSec: mb / parallel.Seconds(),
-		AnalyzeWorkerScaling:    scaling,
+func newBenchReport(seed int64, set experimentSet) benchReport {
+	h := sha256.New()
+	writeFigures(h, set)
+	return benchReport{
+		Seed:            seed,
+		VirtualPerTrace: set.dur.String(),
+		Runs:            set.runs,
+		FiguresSHA256:   hex.EncodeToString(h.Sum(nil)),
 	}
 }
 
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// section times fn and records it; with a nil receiver it just runs fn.
-func (b *benchReport) section(name string, fn func()) {
-	if b == nil {
-		fn()
-		return
-	}
-	t0 := time.Now()
-	fn()
-	b.Sections = append(b.Sections, benchSection{Name: name, WallMS: ms(time.Since(t0))})
-}
-
-// recordCompute folds the per-spec timings of one computeExperiments call
-// into the report. Nil-safe.
-func (b *benchReport) recordCompute(specs []workloads.Spec, timings []runTiming, workers int, wall time.Duration, phaseMallocs, phaseBytes uint64) {
-	if b == nil {
-		return
-	}
-	b.Config.Workers = workers
-	if workers != 1 {
-		b.Config.AllocNote = "per-run allocs/alloc_mb are upper bounds (global counters, parallel workers); totals are exact"
-	}
-	var sum time.Duration
-	var records int
-	for i, s := range specs {
-		t := timings[i]
-		sum += t.run + t.analyze
-		records += t.records
-		perSec := 0.0
-		if t.analyze > 0 {
-			perSec = float64(t.records) / t.analyze.Seconds()
-		}
-		perRecord := 0.0
-		if t.records > 0 {
-			perRecord = float64(t.mallocs) / float64(t.records)
-		}
-		b.Runs = append(b.Runs, benchRun{
-			OS:              s.OS,
-			Workload:        s.Name,
-			Virtual:         s.Cfg.Duration.String(),
-			RunMS:           ms(t.run),
-			AnalyzeMS:       ms(t.analyze),
-			Records:         t.records,
-			RecordsPerSec:   perSec,
-			Allocs:          t.mallocs,
-			AllocMB:         float64(t.allocBytes) / (1 << 20),
-			AllocsPerRecord: perRecord,
-		})
-	}
-	b.Totals.ComputeWallMS = ms(wall)
-	b.Totals.RunWallSumMS = ms(sum)
-	if wall > 0 && workers <= runtime.GOMAXPROCS(0) {
-		b.Totals.SpeedupVsSerial = float64(sum) / float64(wall)
-	}
-	b.Totals.RecordsAnalyzed = records
-	if wall > 0 {
-		b.Totals.RecordsPerSec = float64(records) / wall.Seconds()
-	}
-	b.Totals.Allocs = phaseMallocs
-	b.Totals.AllocMB = float64(phaseBytes) / (1 << 20)
-	if records > 0 {
-		b.Totals.AllocsPerRecord = float64(phaseMallocs) / float64(records)
-	}
-}
-
-func (b *benchReport) writeFile(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

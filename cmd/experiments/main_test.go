@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,12 +20,12 @@ const goldenDuration = 30 * sim.Second
 // serially or on a saturated pool.
 func TestParallelMatchesSerial(t *testing.T) {
 	render := func(workers int) []byte {
-		set, err := computeExperiments(1, goldenDuration, workers, false, nil)
+		set, err := computeExperiments(1, goldenDuration, workers, false)
 		if err != nil {
 			t.Fatalf("computeExperiments: %v", err)
 		}
 		var buf bytes.Buffer
-		writeFigures(&buf, set, nil)
+		writeFigures(&buf, set)
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
@@ -41,41 +42,36 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBenchReportShape checks the -bench recorder captures one entry per
-// evaluation trace plus per-section timings, with sane totals.
-func TestBenchReportShape(t *testing.T) {
-	bench := &benchReport{}
-	set, err := computeExperiments(1, goldenDuration, 2, false, bench)
-	if err != nil {
-		t.Fatalf("computeExperiments: %v", err)
-	}
-	writeFigures(&bytes.Buffer{}, set, bench)
-
-	if len(bench.Runs) != 10 {
-		t.Fatalf("runs = %d, want 10 (9 evaluation traces + webserver relations)", len(bench.Runs))
-	}
-	for _, r := range bench.Runs {
-		if r.Records <= 0 || r.RunMS < 0 || r.AnalyzeMS < 0 {
-			t.Fatalf("implausible run entry: %+v", r)
+// TestBenchReportDeterministic: the -bench report holds only counts and
+// digests, so it is byte-identical at any worker count, and it covers every
+// evaluation trace.
+func TestBenchReportDeterministic(t *testing.T) {
+	report := func(workers int) ([]byte, benchReport) {
+		set, err := computeExperiments(1, goldenDuration, workers, false)
+		if err != nil {
+			t.Fatalf("computeExperiments(workers=%d): %v", workers, err)
 		}
-		if r.Allocs == 0 || r.AllocMB <= 0 || r.AllocsPerRecord <= 0 {
-			t.Fatalf("alloc columns not filled: %+v", r)
+		r := newBenchReport(1, set)
+		data, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, r
+	}
+	serial, r := report(1)
+	if parallel, _ := report(4); !bytes.Equal(serial, parallel) {
+		t.Fatalf("report differs between workers 1 and 4:\n%s\nvs\n%s", serial, parallel)
+	}
+	if len(r.Runs) != 10 {
+		t.Fatalf("runs = %d, want 10 (9 evaluation traces + webserver relations)", len(r.Runs))
+	}
+	for _, run := range r.Runs {
+		if run.Records == 0 {
+			t.Fatalf("run without records: %+v", run)
 		}
 	}
-	if bench.Totals.Allocs == 0 || bench.Totals.AllocMB <= 0 || bench.Totals.AllocsPerRecord <= 0 {
-		t.Fatalf("alloc totals not filled: %+v", bench.Totals)
-	}
-	if bench.Config.AllocNote == "" {
-		t.Fatal("workers=2 must flag per-run alloc columns as upper bounds")
-	}
-	if len(bench.Sections) == 0 {
-		t.Fatalf("no sections recorded")
-	}
-	if bench.Totals.ComputeWallMS <= 0 || bench.Totals.RunWallSumMS <= 0 {
-		t.Fatalf("totals not filled: %+v", bench.Totals)
-	}
-	if bench.Totals.RecordsAnalyzed <= 0 {
-		t.Fatalf("records not summed: %+v", bench.Totals)
+	if len(r.FiguresSHA256) != 64 {
+		t.Fatalf("figures digest %q is not a hex SHA-256", r.FiguresSHA256)
 	}
 }
 
@@ -85,7 +81,7 @@ func TestBenchReportShape(t *testing.T) {
 // and replayed from disk.
 func TestSpillMatchesMemory(t *testing.T) {
 	render := func(spill bool) []byte {
-		set, err := computeExperiments(1, goldenDuration, 4, spill, nil)
+		set, err := computeExperiments(1, goldenDuration, 4, spill)
 		if err != nil {
 			t.Fatalf("computeExperiments(spill=%v): %v", spill, err)
 		}
@@ -93,7 +89,7 @@ func TestSpillMatchesMemory(t *testing.T) {
 			t.Fatalf("golden run dropped records (spill=%v)", spill)
 		}
 		var buf bytes.Buffer
-		writeFigures(&buf, set, nil)
+		writeFigures(&buf, set)
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
@@ -120,9 +116,10 @@ func TestWarnDropped(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("clean set produced output: %q", buf.String())
 	}
-	set := experimentSet{dropped: []droppedRun{
-		{os: "linux", name: "idle", dropped: 5, total: 100},
-		{os: "vista", name: "skype", dropped: 7, total: 200},
+	set := experimentSet{runs: []benchRun{
+		{OS: "linux", Workload: "idle", Records: 95, Dropped: 5},
+		{OS: "linux", Workload: "skype", Records: 50},
+		{OS: "vista", Workload: "skype", Records: 193, Dropped: 7},
 	}}
 	if !warnDropped(&buf, set) {
 		t.Fatal("dropped runs not reported")

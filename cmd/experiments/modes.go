@@ -45,15 +45,13 @@ func init() {
 				"steer", "poll", "record-commands", "replay-commands", "checkpoint", "stop-window", "resume"},
 			// A run stopped early is only worth its checkpoint.
 			requires: map[string]string{"stop-window": "checkpoint"},
-			// A checkpoint carries its spec and command log.
-			excludes: map[string][]string{"resume": {"hosts", "fleet-duration", "seed", "replay-commands"}},
-			run:      runFleet,
-		},
-		{
-			selector: "serve-bench",
-			list:     "loopback live-service ingest/query benchmark",
-			flags:    []string{"duration", "quick", "seed", "serve-producers", "serve-readers", "bench"},
-			run:      runServeBench,
+			excludes: map[string][]string{
+				// A checkpoint carries its spec and command log.
+				"resume": {"hosts", "fleet-duration", "seed", "replay-commands"},
+				// The report holds counts of completed runs only.
+				"stop-window": {"bench"},
+			},
+			run: runFleet,
 		},
 		{selector: "list", list: "list modes, their flags, workloads and steering commands, then exit", run: runList},
 		{selector: "version", list: "print build version and exit", run: printVersion},

@@ -24,7 +24,6 @@ func TestSelectMode(t *testing.T) {
 		{set: []string{"checkpoint", "fleet", "record-commands", "steer", "stop-window"}, selector: "fleet"},
 		{set: []string{"checkpoint", "fleet", "fleet-workers", "resume"}, selector: "fleet"},
 		{set: []string{"fleet", "fleet-duration", "hosts", "replay-commands", "seed"}, selector: "fleet"},
-		{set: []string{"quick", "serve-bench", "serve-producers"}, selector: "serve-bench"},
 		{set: []string{"list"}, selector: "list"},
 		{set: []string{"version"}, selector: "version"},
 
@@ -33,11 +32,9 @@ func TestSelectMode(t *testing.T) {
 		{set: []string{"stop-window"}, want: "-stop-window does not apply to the paper suite"},
 		{set: []string{"steer"}, want: "-steer does not apply to the paper suite"},
 		{set: []string{"resume"}, want: "-resume does not apply to the paper suite"},
-		{set: []string{"serve-readers"}, want: "-serve-readers does not apply to the paper suite"},
 		// Flags of another mode.
 		{set: []string{"fleet", "quick"}, want: "-quick does not apply to -fleet"},
 		{set: []string{"cpuprofile", "fleet"}, want: "-cpuprofile does not apply to -fleet"},
-		{set: []string{"hosts", "serve-bench"}, want: "-hosts does not apply to -serve-bench"},
 		{set: []string{"list", "seed"}, want: "-seed does not apply to -list"},
 		// The checkpoint carries the spec and the command log.
 		{set: []string{"fleet", "replay-commands", "resume"}, want: "-resume cannot be combined with -replay-commands"},
@@ -46,8 +43,10 @@ func TestSelectMode(t *testing.T) {
 		{set: []string{"fleet", "fleet-duration", "resume"}, want: "-resume cannot be combined with -fleet-duration"},
 		// Stopping without a checkpoint discards the run.
 		{set: []string{"fleet", "stop-window"}, want: "-stop-window requires -checkpoint"},
+		// A stopped run has no completed counts to report.
+		{set: []string{"bench", "checkpoint", "fleet", "stop-window"}, want: "-stop-window cannot be combined with -bench"},
 		// Two selectors.
-		{set: []string{"fleet", "serve-bench"}, want: "-fleet and -serve-bench select different modes"},
+		{set: []string{"fleet", "list"}, want: "-fleet and -list select different modes"},
 		{set: []string{"list", "version"}, want: "-list and -version select different modes"},
 	}
 	for _, tc := range cases {

@@ -19,8 +19,8 @@
 // -baseline FILE drops findings recorded in an accepted-debt baseline;
 // -write-baseline FILE records the current findings as that baseline.
 // -run selects a comma-separated subset of analyzers; -j caps loader
-// parallelism; -bench FILE merges the run's timing stats into a benchmark
-// JSON report under its "lint" key.
+// parallelism; -bench FILE merges the package count and each analyzer's
+// suppressed-finding count into a benchmark JSON report under its "lint" key.
 //
 // Exit status is 0 when clean (warnings only count as clean under
 // -severity=error), 1 when findings were reported, 2 on a load or usage
@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"timerstudy/internal/lint"
 	"timerstudy/internal/version"
@@ -47,7 +46,7 @@ func main() {
 	severity := flag.String("severity", "warning", "minimum severity that fails the run: warning or error")
 	baseline := flag.String("baseline", "", "drop findings recorded in this baseline file")
 	writeBaseline := flag.String("write-baseline", "", "record current findings as the accepted-debt baseline and exit 0")
-	benchOut := flag.String("bench", "", "merge load/analyzer timing stats into this benchmark JSON file under the \"lint\" key")
+	benchOut := flag.String("bench", "", "merge package and suppressed-finding counts into this benchmark JSON file under the \"lint\" key")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: timerlint [flags] [./... | dir ...]\n")
@@ -107,7 +106,6 @@ func run(opts options, args []string) int {
 		return 2
 	}
 
-	loadStart := time.Now()
 	var pkgs []*lint.Package
 	if opts.asPath != "" {
 		if len(args) != 1 || args[0] == "./..." {
@@ -136,11 +134,8 @@ func run(opts options, args []string) int {
 			pkgs = append(pkgs, p)
 		}
 	}
-	loadMS := float64(time.Since(loadStart).Nanoseconds()) / 1e6
 
-	runStart := time.Now()
 	ds, stats := lint.RunStats(loader, pkgs, analyzers)
-	runMS := float64(time.Since(runStart).Nanoseconds()) / 1e6
 	lint.Relativize(loader.ModuleDir, ds)
 
 	if opts.writeBaseline != "" {
@@ -163,7 +158,7 @@ func run(opts options, args []string) int {
 		}
 	}
 	if opts.benchOut != "" {
-		if err := mergeBenchStats(opts.benchOut, loadMS, runMS, opts.workers, len(pkgs), stats); err != nil {
+		if err := mergeBenchStats(opts.benchOut, len(pkgs), stats); err != nil {
 			fmt.Fprintln(os.Stderr, "timerlint:", err)
 			return 2
 		}
@@ -190,9 +185,9 @@ func run(opts options, args []string) int {
 	return 0
 }
 
-// mergeBenchStats inserts the run's cost accounting under the "lint" key of
-// a benchmark JSON report (created if absent), preserving other keys.
-func mergeBenchStats(path string, loadMS, runMS float64, workers, pkgCount int, stats []lint.AnalyzerStat) error {
+// mergeBenchStats inserts the run's counts under the "lint" key of a
+// benchmark JSON report (created if absent), preserving other keys.
+func mergeBenchStats(path string, pkgCount int, stats []lint.AnalyzerStat) error {
 	report := map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &report); err != nil {
@@ -202,12 +197,8 @@ func mergeBenchStats(path string, loadMS, runMS float64, workers, pkgCount int, 
 		return err
 	}
 	report["lint"] = map[string]any{
-		"load_wall_ms":  loadMS,
-		"run_wall_ms":   runMS,
-		"total_wall_ms": loadMS + runMS,
-		"workers":       workers,
-		"packages":      pkgCount,
-		"analyzers":     stats,
+		"packages":  pkgCount,
+		"analyzers": stats,
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

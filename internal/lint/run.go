@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzers returns the full analyzer suite in stable order.
@@ -42,12 +41,12 @@ func Select(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// AnalyzerStat records one analyzer's cost and yield over a run, for the
-// bench pipeline: analyzer time is tracked like every other phase.
+// AnalyzerStat counts one analyzer's findings that a //lint:ignore or
+// //lint:file-ignore directive suppressed over a run: the accepted
+// exceptions the bench report pins.
 type AnalyzerStat struct {
-	Name     string  `json:"name"`
-	Findings int     `json:"findings"`
-	WallMS   float64 `json:"wall_ms"`
+	Name       string `json:"name"`
+	Suppressed int    `json:"suppressed"`
 }
 
 // Run applies the analyzers to the packages, filters suppressed findings,
@@ -58,7 +57,7 @@ func Run(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic
 	return ds
 }
 
-// RunStats is Run plus per-analyzer cost/yield accounting, in analyzer order.
+// RunStats is Run plus per-analyzer suppression counts, in analyzer order.
 func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStat) {
 	fset := fsetOwner.Fset()
 	stats := make([]AnalyzerStat, len(analyzers))
@@ -69,27 +68,19 @@ func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(fset, pkg.Files)
 		out = append(out, sup.malformed...)
-		var raw []Diagnostic
 		for i, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     fset,
 				Pkg:      pkg,
-				report:   func(d Diagnostic) { raw = append(raw, d) },
-			}
-			//lint:ignore wallclock analyzer self-timing measures host-process cost for the bench report, not simulated time
-			t0 := time.Now()
-			before := len(raw)
-			a.Run(pass)
-			//lint:ignore wallclock analyzer self-timing measures host-process cost for the bench report, not simulated time
-			stats[i].WallMS += float64(time.Since(t0).Nanoseconds()) / 1e6
-			stats[i].Findings += len(raw) - before
-		}
-		for _, d := range raw {
-			if sup.suppresses(d) {
-				continue
-			}
-			out = append(out, d)
+				report: func(d Diagnostic) {
+					if sup.suppresses(d) {
+						stats[i].Suppressed++
+						return
+					}
+					out = append(out, d)
+				},
+			})
 		}
 		// A directive nothing matched is stale: either the violation is gone
 		// or the analyzer name is wrong. Both deserve a finding.
@@ -112,8 +103,7 @@ func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 			}
 		}
 	}
-	// Suppressed findings still count toward per-analyzer yield above; the
-	// surviving set is what gates CI. Keep the output deterministically
+	// The surviving set is what gates CI. Keep the output deterministically
 	// ordered by position regardless of package or analyzer order.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {

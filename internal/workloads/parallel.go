@@ -52,18 +52,29 @@ func ForEach(specs []Spec, workers int, fn func(i int, res *Result)) {
 		}
 		return
 	}
+	ForEachIndex(len(specs), workers, func(i int) { fn(i, specs[i].Run()) })
+}
+
+// ForEachIndex calls fn(i) for every i in [0, n) on a pool of up to workers
+// goroutines (workers<=0 means GOMAXPROCS) and returns once every call has.
+// It is ForEach's pool, for callers whose per-index work is more than a
+// bare Spec.Run; fn must be safe for concurrent calls with distinct i.
+func ForEachIndex(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i, specs[i].Run())
+				fn(i)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)

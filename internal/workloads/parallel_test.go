@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"timerstudy/internal/sim"
@@ -31,6 +32,22 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 			if r != p.Trace.Records()[j] {
 				t.Fatalf("%s/%s: record %d differs: %+v vs %+v",
 					s.OS, s.Name, j, r, p.Trace.Records()[j])
+			}
+		}
+	}
+}
+
+// TestForEachIndexCallsEveryIndexOnce covers the pool sizes callers pass:
+// 0 (GOMAXPROCS), one, fewer than n, and more than n.
+func TestForEachIndexCallsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7} {
+		for _, workers := range []int{0, 1, 3, 100} {
+			calls := make([]atomic.Int32, n)
+			ForEachIndex(n, workers, func(i int) { calls[i].Add(1) })
+			for i := range calls {
+				if got := calls[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d called %d times", n, workers, i, got)
+				}
 			}
 		}
 	}

@@ -110,6 +110,20 @@ echo "== timerlint control gates (window-boundary apply path, bounds provenance)
 # goroutinecapture audits the plane, magictimeout audits the registry.
 go run ./cmd/timerlint -run allocfree,goroutinecapture,magictimeout ./internal/control
 
+echo "== bench counts gate (BENCH_experiments.json is current) =="
+# Every field of the -bench report is a count or a digest, a pure function
+# of seeds, sizes and the source tree, so a regeneration must match the
+# committed file byte for byte, with no tolerance and at any GOMAXPROCS.
+bench_dir="$(mktemp -d)"
+./scripts/bench.sh "$bench_dir/bench.json" > /dev/null
+if ! diff -u BENCH_experiments.json "$bench_dir/bench.json"; then
+	echo "BENCH COUNTS MOVED: rerun scripts/bench.sh, commit the new BENCH_experiments.json, and explain the moved count in CHANGES.md" >&2
+	rm -rf "$bench_dir"
+	exit 1
+fi
+rm -rf "$bench_dir"
+echo "bench counts identical to BENCH_experiments.json"
+
 echo "== fleet serial-vs-parallel determinism gate (64 hosts) =="
 # Two separate processes — workers=1 and workers=4 — must print identical
 # fleet digests: per-host traces byte-identical regardless of worker count.
