@@ -47,6 +47,7 @@ type fleetCounts struct {
 	VirtualDuration   string `json:"virtual_duration"`
 	Windows           int    `json:"windows"`
 	Events            uint64 `json:"events"`
+	HostAdvances      uint64 `json:"host_advances"`
 	CumulativeTimers  uint64 `json:"cumulative_timers"`
 	Records           uint64 `json:"records_total"`
 	MessagesSent      uint64 `json:"messages_sent"`
@@ -257,6 +258,7 @@ func runFleet() int {
 			VirtualDuration:   spec.End.String(),
 			Windows:           stats.Windows,
 			Events:            stats.Events,
+			HostAdvances:      stats.HostAdvances,
 			CumulativeTimers:  c.ByOp[trace.OpSet],
 			Records:           c.Total,
 			MessagesSent:      stats.Sent,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,18 @@ type Fleet struct {
 	hosts  []*Host
 	byName map[string]int
 
+	// next is the per-host next-event index: next[i] is host i's
+	// Eng.NextAt(), or never when its queue is empty or its engine is
+	// stopped. refresh rewrites an entry at every point the host's queue
+	// can change: after its own window advance, after a barrier merge,
+	// in Kill, Restart and Steer, and for every host at StartSession. A
+	// window reads the index instead of touching idle engines.
+	next []sim.Time
+	// act lists the hosts the current window advances (next[i] before
+	// the horizon), in index order; recv lists the hosts that received
+	// messages at the current barrier. Both keep their capacity.
+	act, recv []int
+
 	// jobs feeds the persistent worker pool; nil while no session is active
 	// or when running with one worker.
 	jobs chan func()
@@ -27,9 +40,20 @@ type Fleet struct {
 	// f.advanceHost bound once, so a window allocates no closure.
 	horizon   sim.Time
 	advanceFn func(i int)
-	// active guards against overlapping sessions.
-	active bool
+	// Fan-out state of each, reused by every call: jobFn is f.fanJob bound
+	// once, fanIdx and fanFn are the current call's index list and body,
+	// cursor hands out chunks of fanIdx and wg waits for the jobs.
+	jobFn  func()
+	fanIdx []int
+	fanFn  func(i int)
+	cursor atomic.Int64
+	wg     sync.WaitGroup
+	// inSession guards against overlapping sessions.
+	inSession bool
 }
+
+// never is the next-event index entry of a host with nothing it can run.
+const never = sim.Time(math.MaxInt64)
 
 // RunStats summarizes one session run.
 type RunStats struct {
@@ -48,6 +72,9 @@ type RunStats struct {
 	Lookahead sim.Duration
 	// Bounded reports whether cross-host traffic constrained the run.
 	Bounded bool
+	// HostAdvances counts host window advances summed over windows: only
+	// hosts with an event due before a window's horizon are advanced.
+	HostAdvances uint64
 }
 
 // New returns an empty fleet over a frozen fabric. Freezing first is
@@ -59,14 +86,19 @@ func New(fabric *netsim.Fabric) *Fleet {
 	}
 	f := &Fleet{fabric: fabric, byName: map[string]int{}}
 	f.advanceFn = f.advanceHost
+	f.jobFn = f.fanJob
 	return f
 }
 
 // AddHost creates a host with its own engine (seeded independently), kernel
 // personality and sink, then boots the model. Hosts must be added in the
 // same order on every run — the index is part of the deterministic message
-// order. The name must be registered on the fabric.
+// order. The name must be registered on the fabric, and no session may be
+// active (StartSession indexes every host's first event).
 func (f *Fleet) AddHost(name string, seed int64, sink trace.Sink, model Model) *Host {
+	if f.inSession {
+		panic("fleet: AddHost during an active session")
+	}
 	if _, dup := f.byName[name]; dup {
 		panic("fleet: duplicate host " + name)
 	}
@@ -90,6 +122,7 @@ func (f *Fleet) AddHost(name string, seed int64, sink trace.Sink, model Model) *
 	h.deliverFn = h.deliver
 	f.byName[name] = h.Index
 	f.hosts = append(f.hosts, h)
+	f.next = append(f.next, never)
 	model.Boot(h)
 	return h
 }
@@ -110,113 +143,136 @@ func (f *Fleet) HostByName(name string) *Host {
 // increment, small enough to balance uneven hosts.
 const eachChunk = 16
 
-// each applies fn to every host index, fanning out across the worker pool.
-// workers==1 (or a single host) bypasses the pool entirely and runs the
-// exact serial order — the baseline the determinism gate compares against.
-// fn bodies may touch only the indexed host's state plus frozen/immutable
-// fleet state; the goroutinecapture analyzer audits call sites through the
-// (workers, func) parameter pair.
-func (f *Fleet) each(workers int, fn func(i int)) {
-	n := len(f.hosts)
+// each applies fn to every host index in idx, fanning out across the worker
+// pool. workers==1 (or a single index) bypasses the pool entirely and runs
+// the exact serial order — the baseline the determinism gate compares
+// against. fn bodies may touch only the indexed host's state plus
+// frozen/immutable fleet state; the goroutinecapture analyzer audits call
+// sites through the (workers, func) parameter pair.
+//
+//lint:allocfree the fan-out hands the pool the pre-bound jobFn; the index list and body travel in fleet fields
+func (f *Fleet) each(workers int, idx []int, fn func(i int)) {
+	n := len(idx)
 	if workers <= 1 || n <= 1 || f.jobs == nil {
-		for i := 0; i < n; i++ {
+		for _, i := range idx {
 			fn(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	job := func() {
-		defer wg.Done()
-		for {
-			base := int(next.Add(eachChunk)) - eachChunk
-			if base >= n {
-				return
-			}
-			hi := base + eachChunk
-			if hi > n {
-				hi = n
-			}
-			for i := base; i < hi; i++ {
-				fn(i)
-			}
-		}
-	}
-	wg.Add(workers)
+	// Wake no more workers than there are chunks to claim.
+	workers = min(workers, (n+eachChunk-1)/eachChunk)
+	f.fanIdx, f.fanFn = idx, fn
+	f.cursor.Store(0)
+	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		f.jobs <- job
+		f.jobs <- f.jobFn
 	}
-	wg.Wait()
+	f.wg.Wait()
 }
 
-// advanceAll moves every host's engine up to (strictly before) horizon in
-// parallel and returns the total events executed.
+// fanJob is one pool worker's share of an each call: it claims eachChunk
+// entries of fanIdx at a time until none are left. The fields it reads were
+// written before the job was sent on jobs.
+func (f *Fleet) fanJob() {
+	defer f.wg.Done()
+	idx, fn := f.fanIdx, f.fanFn
+	for {
+		base := int(f.cursor.Add(eachChunk)) - eachChunk
+		if base >= len(idx) {
+			return
+		}
+		for _, i := range idx[base:min(base+eachChunk, len(idx))] {
+			fn(i)
+		}
+	}
+}
+
+// advanceAll moves every host with an event due strictly before horizon up
+// to the horizon, in parallel, and returns the total events executed. The
+// hosts it advanced are left in f.act for route.
 //
-//lint:allocfree the per-window advance: the pre-bound advanceFn over every host
+//lint:allocfree the per-window advance: an index scan, then the pre-bound advanceFn over the active list
 func (f *Fleet) advanceAll(workers int, horizon sim.Time) uint64 {
 	f.horizon = horizon
-	f.each(workers, f.advanceFn)
+	f.act = f.act[:0]
+	for i, t := range f.next {
+		if t < horizon {
+			f.act = append(f.act, i)
+		}
+	}
+	f.each(workers, f.act, f.advanceFn)
 	var total uint64
-	for _, h := range f.hosts {
-		total += uint64(h.windowExecuted)
+	for _, i := range f.act {
+		total += uint64(f.hosts[i].windowExecuted)
 	}
 	return total
 }
 
-// advanceHost runs host i's engine up to (strictly before) f.horizon. It
-// touches only host i's state; each worker calls it on distinct indices.
+// advanceHost runs host i's engine up to (strictly before) f.horizon and
+// refreshes its index entry. It touches only host i's state; each worker
+// calls it on distinct indices.
 func (f *Fleet) advanceHost(i int) {
 	h := f.hosts[i]
 	h.windowExecuted = h.Eng.AdvanceUntil(f.horizon)
+	f.refresh(i)
 }
 
-// route is the serial barrier phase: drain every outbox into the
+// refresh re-reads host i's next event into the index.
+func (f *Fleet) refresh(i int) {
+	eng := f.hosts[i].Eng
+	t, ok := eng.NextAt()
+	if !ok || eng.Stopped() {
+		t = never
+	}
+	f.next[i] = t
+}
+
+// route is the serial barrier phase: drain the outboxes of the hosts the
+// window advanced — only they ran callbacks that can Send — into the
 // destinations' staged queues in host-index order (deterministic regardless
-// of which worker advanced whom), then merge and schedule deliveries. It
-// returns the number of messages moved. Messages addressed to a down host
-// (Host.Kill) are dropped here and counted against the destination's Lost —
-// the wire reached the machine, the machine was off.
+// of which worker advanced whom), then merge and schedule deliveries on the
+// hosts that received any. It returns the number of messages moved.
+// Messages addressed to a down host (Host.Kill) are dropped here and
+// counted against the destination's Lost — the wire reached the machine,
+// the machine was off.
 //
 //lint:allocfree outbox drain into staged queues that keep their capacity
 func (f *Fleet) route() int {
 	moved := 0
-	for _, h := range f.hosts {
+	f.recv = f.recv[:0]
+	for _, i := range f.act {
+		h := f.hosts[i]
 		for _, m := range h.outbox {
 			dst := f.hosts[m.Dst]
 			if dst.Down {
 				dst.Lost++
 				continue
 			}
+			if len(dst.staged) == 0 {
+				f.recv = append(f.recv, int(m.Dst))
+			}
 			dst.staged = append(dst.staged, m)
 			moved++
 		}
 		h.outbox = h.outbox[:0]
 	}
-	if moved == 0 {
-		return 0
-	}
-	for _, h := range f.hosts {
-		h.mergeStaged()
+	for _, i := range f.recv {
+		f.hosts[i].mergeStaged()
+		f.refresh(i)
 	}
 	return moved
 }
 
-// minNextAt returns the earliest pending event time across the fleet.
-// Stopped engines (killed hosts) are skipped: their backlog cannot execute,
-// and letting it anchor the idle-jump target would pin the fleet to an
-// instant that never drains.
+// minNextAt returns the earliest pending event time across the fleet, read
+// from the index. Stopped engines (killed hosts) index as never: their
+// backlog cannot execute, and letting it anchor the idle-jump target would
+// pin the fleet to an instant that never drains.
 func (f *Fleet) minNextAt() (sim.Time, bool) {
-	var best sim.Time
-	found := false
-	for _, h := range f.hosts {
-		if h.Eng.Stopped() {
-			continue
-		}
-		if t, ok := h.Eng.NextAt(); ok && (!found || t < best) {
-			best, found = t, true
-		}
+	best := never
+	for _, t := range f.next {
+		best = min(best, t)
 	}
-	return best, found
+	return best, best != never
 }
 
 // Counters sums the per-host sink counters (for sinks that keep them). A

@@ -101,6 +101,7 @@ type Host struct {
 func (h *Host) Kill() {
 	h.Down = true
 	h.Eng.Stop()
+	h.fleet.refresh(h.Index)
 }
 
 // Restart brings a killed host back at the given instant — the session's
@@ -114,13 +115,16 @@ func (h *Host) Restart(at sim.Time) {
 	h.Down = false
 	h.Eng.Resume()
 	h.Eng.SkipTo(at)
+	h.fleet.refresh(h.Index)
 }
 
 // Steer hands a directive to the host at a session barrier. Host-level
 // directives (DirCoalesce) are handled here; the rest go to the model,
 // returning false when it does not implement Steerable or rejects the
-// directive.
+// directive. A model's Steer may schedule events, so the host's index
+// entry is refreshed afterwards.
 func (h *Host) Steer(d Directive) bool {
+	defer h.fleet.refresh(h.Index)
 	if d.Kind == DirCoalesce {
 		if d.Arg < 0 {
 			return false
@@ -135,7 +139,9 @@ func (h *Host) Steer(d Directive) bool {
 }
 
 // Send queues a message to another host. It must be called from within the
-// sending host's own engine callbacks. The delivery time is computed from
+// sending host's own engine callbacks, and panics otherwise: the barrier
+// routes only the outboxes of hosts that ran in the window, so a message
+// sent at a barrier would never leave. The delivery time is computed from
 // the frozen fabric: base latency + per-send jitter (host-local rng) +
 // serialization at the fabric bandwidth. Returns false when the link drops
 // the packet.
@@ -146,6 +152,9 @@ func (h *Host) Steer(d Directive) bool {
 //
 //lint:allocfree path lookup, rng draws and an append to an outbox that keeps its capacity
 func (h *Host) Send(dst int, kind uint8, id uint64, size int) bool {
+	if !h.Eng.Running() {
+		panic("fleet: Host.Send outside the sending host's engine callbacks")
+	}
 	f := h.fleet
 	cfg := f.fabric.PathFor(h.Name, f.hosts[dst].Name)
 	rng := h.Eng.Rand()

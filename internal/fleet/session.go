@@ -42,9 +42,11 @@ type Session struct {
 // simulation: with L = the fabric's minimum link latency, every message
 // sent at time s is delivered at s+L or later, so all events strictly
 // before now+L are causally independent across hosts. Each Step therefore
-// advances every host to the window horizon on the worker pool, barriers,
-// routes the accumulated cross-host messages serially, and returns — one
-// barrier per window, not per event (see DESIGN.md for why).
+// advances every host with an event due before the window horizon on the
+// worker pool, barriers, routes the accumulated cross-host messages
+// serially, and returns — one barrier per window, not per event (see
+// DESIGN.md for why). Hosts with nothing due sit the window out: the
+// fleet's next-event index, refreshed for every host here, says which.
 //
 // When L is zero (a zero-latency link exists) the fleet degenerates to
 // deterministic lock-step by timestamp: each Step runs exactly the global
@@ -55,10 +57,13 @@ func (f *Fleet) StartSession(end sim.Time, workers int) *Session {
 	if workers < 1 {
 		workers = 1
 	}
-	if f.active {
+	if f.inSession {
 		panic("fleet: a session is already active")
 	}
-	f.active = true
+	f.inSession = true
+	for i := range f.hosts {
+		f.refresh(i)
+	}
 	s := &Session{f: f, end: end, workers: workers}
 	s.lookahead, s.bounded = f.fabric.MinLatency()
 	s.stats.Lookahead, s.stats.Bounded = s.lookahead, s.bounded
@@ -92,8 +97,7 @@ func (s *Session) Step() bool {
 	switch {
 	case !s.bounded:
 		// No cross-host traffic possible: fully independent hosts.
-		s.stats.Windows++
-		s.stats.Events += f.advanceAll(s.workers, s.end+1)
+		s.advance(s.end + 1)
 		s.start = s.end + 1
 		s.done = true
 	case s.lookahead == 0:
@@ -103,8 +107,7 @@ func (s *Session) Step() bool {
 			s.done = true
 			break
 		}
-		s.stats.Windows++
-		s.stats.Events += f.advanceAll(s.workers, t+1)
+		s.advance(t + 1)
 		f.route()
 		s.start = t + 1
 	default:
@@ -116,9 +119,7 @@ func (s *Session) Step() bool {
 		if h := s.start + sim.Time(s.lookahead); h > s.start && h < horizon {
 			horizon = h
 		}
-		s.stats.Windows++
-		executed := f.advanceAll(s.workers, horizon)
-		s.stats.Events += executed
+		executed := s.advance(horizon)
 		moved := f.route()
 		if executed == 0 && moved == 0 {
 			// Idle window: jump to the next event anywhere in the fleet
@@ -136,6 +137,16 @@ func (s *Session) Step() bool {
 	return !s.done
 }
 
+// advance runs one window's advance up to horizon, counts it, and returns
+// the events it executed.
+func (s *Session) advance(horizon sim.Time) uint64 {
+	executed := s.f.advanceAll(s.workers, horizon)
+	s.stats.Windows++
+	s.stats.Events += executed
+	s.stats.HostAdvances += uint64(len(s.f.act))
+	return executed
+}
+
 // Windows returns the number of windows stepped so far — the keyframe
 // index the control plane stamps commands and checkpoints with.
 func (s *Session) Windows() int { return s.stats.Windows }
@@ -151,7 +162,11 @@ func (s *Session) Finish() RunStats {
 	for s.Step() {
 	}
 	f := s.f
-	f.each(s.workers, func(i int) {
+	all := make([]int, len(f.hosts))
+	for i := range all {
+		all[i] = i
+	}
+	f.each(s.workers, all, func(i int) {
 		f.hosts[i].Eng.Run(s.end)
 	})
 	return s.close()
@@ -173,7 +188,7 @@ func (s *Session) close() RunStats {
 		close(f.jobs)
 		f.jobs = nil
 	}
-	f.active = false
+	f.inSession = false
 	for _, h := range f.hosts {
 		s.stats.Sent += h.Sent
 		s.stats.Delivered += h.Delivered

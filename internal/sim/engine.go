@@ -321,3 +321,9 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop was called.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// Running reports whether the engine is inside Run or AdvanceUntil, the
+// two loops that execute its callbacks (a bare Step or RunAll does not
+// count). The fleet uses it to reject a Host.Send made outside the sending
+// host's own window advance.
+func (e *Engine) Running() bool { return e.running }

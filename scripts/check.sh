@@ -24,8 +24,12 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== parallel determinism golden test =="
-go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers' \
-	./cmd/experiments ./internal/workloads
+# The fleet tests pin the next-event index: at workers 1 and 4, in every
+# Step mode, each window advances exactly the hosts with work due, the
+# index matches every engine after each Step and steering action, and a
+# Send outside the host's own callbacks panics.
+go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers|TestNextIndexConsistency|TestIdleHostNeverAdvanced|TestSendAtBarrierPanics' \
+	./cmd/experiments ./internal/workloads ./internal/fleet
 
 echo "== spill-vs-memory determinism golden test =="
 # The streaming trace path (v2 spill files) must render byte-identical
