@@ -65,8 +65,7 @@ func (a *originAcc) stats(origin string) *originStats {
 	return s
 }
 
-// observeUse folds one arming into its origin's value histogram; the
-// streaming pipeline calls it as uses open.
+// observeUse folds one arming into its origin's value histogram.
 func (a *originAcc) observeUse(origin string, user bool, v sim.Duration) {
 	s := a.stats(origin)
 	b, _ := a.vo.binAttrs(user, v)
@@ -74,11 +73,27 @@ func (a *originAcc) observeUse(origin string, user bool, v sim.Duration) {
 	s.sets++
 }
 
-// observeTimer folds one timer's identity and class into its origin row;
-// the streaming pipeline calls it at end of trace, for timers with at
-// least one use.
+// flushRun adds a timer's finished or pending run of armings to row s:
+// the run's length counts as sets, its value into the histogram. The
+// streaming pipeline batches a timer's armings in its pending run and
+// flushes the run when it breaks or at fold.
+func (a *originAcc) flushRun(s *originStats, r valueRun) {
+	if r.n == 0 {
+		return
+	}
+	b, _ := a.vo.binAttrs(r.user, r.v)
+	s.values[b] += int(r.n)
+	s.sets += int(r.n)
+}
+
+// observeTimer folds one timer's identity and class into its origin row.
 func (a *originAcc) observeTimer(origin string, class Class) {
-	s := a.stats(origin)
+	a.stats(origin).observeTimer(class)
+}
+
+// observeTimer counts one timer of the row with its class; the streaming
+// pipeline calls it at end of trace, for timers with at least one use.
+func (s *originStats) observeTimer(class Class) {
 	s.timers++
 	s.class[class]++
 }

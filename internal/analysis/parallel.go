@@ -35,7 +35,8 @@ type shardBatch struct {
 }
 
 // hashTimerID mixes timer identities (a splitmix64-style finalizer) before
-// the shard modulus so strided ID patterns still spread evenly.
+// the shard modulus and the ID-cache slot so strided ID patterns still
+// spread evenly.
 func hashTimerID(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
@@ -291,6 +293,81 @@ func TestShardFoldZeroAlloc(t *testing.T) {
 	} {
 		if avg != 0 {
 			t.Errorf("%s allocated %.2f per run with a warmed scratch, want 0", name, avg)
+		}
+	}
+}
+
+// TestStreamTimerSize pins the per-timer footprint: the arena holds one
+// streamTimer per timer identity, so the pending runs and the cached origin
+// row must fit in the struct's old 280 bytes.
+func TestStreamTimerSize(t *testing.T) {
+	if got := unsafe.Sizeof(streamTimer{}); got > 280 {
+		t.Fatalf("streamTimer is %d bytes, want ≤ 280", got)
+	}
+}
+
+// TestClassifyWideTallies: the 32-bit closed-use tallies widen to int
+// before classify and constantValue multiply them, so tallies near
+// math.MaxInt32 still classify as their ratios say.
+func TestClassifyWideTallies(t *testing.T) {
+	const n = math.MaxInt32 - 1
+	sh := standardPipeline().newShard()
+	cases := []struct {
+		name string
+		tm   streamTimer
+		want Class
+	}{
+		{"periodic", streamTimer{closed: n, expired: n, immediate: n}, ClassPeriodic},
+		{"delay", streamTimer{closed: n, expired: n}, ClassDelay},
+		{"timeout", streamTimer{closed: n, canceled: n, earlyCancels: n}, ClassTimeout},
+		{"watchdog", streamTimer{closed: n, reset: n}, ClassWatchdog},
+	}
+	for _, tc := range cases {
+		tc.tm.tv[0], tc.tm.ntv = tvalSlot{v: sim.Second, n: n}, 1
+		if got := sh.classify(&tc.tm); got != tc.want {
+			t.Errorf("%s with %d closed uses: classified %v, want %v", tc.name, n, got, tc.want)
+		}
+	}
+}
+
+// TestRunParallelLongRuns: on a trace where timers re-arm one value for
+// long stretches — runs that break on a value change, on the user flag,
+// and at the end of the trace — RunParallel at 1, 2 and 4 workers equals
+// Run byte for byte.
+func TestRunParallelLongRuns(t *testing.T) {
+	p := standardPipeline()
+	b := trace.NewBuffer(1 << 16)
+	origins := []string{"kernel/tcp", "firefox/poll", "Xorg/select", "svc/wait"}
+	t0 := sim.Time(0)
+	for i := 0; i < 24_000; i++ {
+		id := uint64(i % 64)
+		// Each timer keeps one value for 60 armings, then moves on.
+		timeout := sim.Duration(1+(i/64/60+int(id))%5) * 250 * sim.Millisecond
+		var flags trace.Flags
+		if id%2 == 1 || (id%4 == 2 && i > 12_000) {
+			flags = trace.FlagUser // timers 2, 6, 10, … turn user-space halfway
+		}
+		origin := b.Origin(origins[id%4])
+		b.Log(trace.Record{T: t0, Op: trace.OpSet, TimerID: id, Timeout: int64(timeout),
+			Origin: origin, PID: int32(id % 3), Flags: flags})
+		if i%3 != 0 {
+			b.Log(trace.Record{T: t0 + sim.Time(timeout), Op: trace.OpExpire, TimerID: id,
+				Origin: origin, PID: int32(id % 3), Flags: flags})
+		}
+		t0 += sim.Time(5 * sim.Millisecond)
+	}
+	serial, err := p.Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportBytes(t, serial)
+	for _, workers := range []int{1, 2, 4} {
+		rep, err := p.RunParallel(b, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reportBytes(t, rep); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: report differs from Run:\n%s\n%s", workers, got, want)
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // Determinism contract: MergePartials over Partials fed one stream each is
 // byte-identical to a single Run over the concatenation of those streams
 // (in the same order), provided timer identities do not collide across
-// streams. Everything the fold produces is either per-timer (and a timer
+// streams; MergePartials counts the IDs that do into
+// Report.TimerIDCollisions. Everything the fold produces is either per-timer (and a timer
 // lives entirely inside one Partial), commutative-additive, or canonically
 // sorted at finish — the same argument as RunParallel's — except
 // Summary.Concurrency, which MergePartials reconstructs exactly: when
@@ -90,9 +91,18 @@ func (pa *Partial) Records() uint64 {
 // its accumulators merge (copying, never aliasing) into one fresh output
 // shard, and its timer table folds read-only into that shard, so nothing is
 // cloned and the Partial keeps folding records once the lock is released.
+//
+// The merge also checks the contract above: Report.TimerIDCollisions is the
+// number of distinct timer IDs present in more than one Partial. Each such
+// ID is folded as separate timers, one per Partial, where a single Run
+// over the concatenated streams would have folded one.
 func (p Pipeline) MergePartials(parts []*Partial) *Report {
 	out := p.newShard()
 	concurrency, carried := 0, 0
+	// seen maps each timer ID met so far to whether it was already counted
+	// as a collision.
+	seen := make(map[uint64]bool)
+	collisions := 0
 	for _, pa := range parts {
 		pa.mu.Lock()
 		out.merge(pa.sh)
@@ -101,7 +111,17 @@ func (p Pipeline) MergePartials(parts []*Partial) *Report {
 			concurrency = c
 		}
 		carried += pa.sh.openCount
+		for id := range pa.sh.byID {
+			if counted, ok := seen[id]; !ok {
+				seen[id] = false
+			} else if !counted {
+				seen[id] = true
+				collisions++
+			}
+		}
 		pa.mu.Unlock()
 	}
-	return p.report([]*shard{out}, concurrency)
+	rep := p.report([]*shard{out}, concurrency)
+	rep.TimerIDCollisions = collisions
+	return rep
 }

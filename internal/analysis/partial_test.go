@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
 )
 
@@ -225,5 +227,131 @@ func TestPartialStreamsReachWideTimers(t *testing.T) {
 		if len(pids) < 3 || pids[0] == pids[1] || pids[0] != pids[2] {
 			t.Errorf("stream %d: PID-hopping timer's PID runs are %v, want A→B→A", s, pids)
 		}
+	}
+}
+
+// flipID is the timer withFlipTimer adds to every stream: one timeout value
+// re-armed throughout, kernel-flagged for its first flipAfter armings and
+// user-flagged after, so its pending runs break on the user flag alone.
+const (
+	flipID    = 92
+	flipAfter = 24
+)
+
+// withFlipTimer copies streams with a flipID arming (namespaced per stream)
+// inserted after every 200th record, at that record's instant.
+func withFlipTimer(streams [][]trace.Record, origins []string) [][]trace.Record {
+	origin := uint32(slices.Index(origins, "svc/wait"))
+	out := make([][]trace.Record, len(streams))
+	for s, recs := range streams {
+		ns := uint64(s+1) << 48
+		sets := 0
+		for i, r := range recs {
+			out[s] = append(out[s], r)
+			if i%200 != 199 {
+				continue
+			}
+			var flags trace.Flags
+			if sets >= flipAfter {
+				flags = trace.FlagUser
+			}
+			out[s] = append(out[s], trace.Record{
+				T: r.T, Op: trace.OpSet, TimerID: flipID | ns, Timeout: int64(500 * sim.Millisecond),
+				Origin: origin, PID: 7, Flags: flags,
+			})
+			sets++
+		}
+	}
+	return out
+}
+
+// TestPartialPrefixOracle feeds the merge-test streams, plus a timer whose
+// user flag flips mid-run, chunk by chunk in rotation, and merges after
+// every chunk: each MergePartials must equal one Run over the streams'
+// concatenated prefixes. Merging adds every pending run into the output
+// without clearing it, so a merge repeated over runs that are still
+// pending — the flip timer's runs, the countdown's, the PID hopper's —
+// must neither lose nor double-count one.
+func TestPartialPrefixOracle(t *testing.T) {
+	const nstreams = 3
+	p, streams, origins := buildPartialStreams(t, nstreams)
+	streams = withFlipTimer(streams, origins)
+	rng := rand.New(rand.NewSource(3))
+	parts := make([]*Partial, nstreams)
+	for s := range parts {
+		parts[s] = p.NewPartial()
+	}
+	pos := make([]int, nstreams)
+	merges, longRuns := 0, 0
+	for done := 0; done < nstreams; {
+		done = 0
+		for s := range streams {
+			if pos[s] == len(streams[s]) {
+				done++
+				continue
+			}
+			end := min(pos[s]+1+rng.Intn(3000), len(streams[s]))
+			parts[s].AddChunk(trace.Chunk{Records: streams[s][pos[s]:end], Origins: origins})
+			pos[s] = end
+			got := reportBytes(t, p.MergePartials(parts))
+			want := oracleReport(t, p, streams, origins, pos)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("merge %d at %v differs from oracle Run:\n%s\n%s", merges, pos, got, want)
+			}
+			merges++
+			if idx, ok := parts[s].sh.byID[flipID|uint64(s+1)<<48]; ok && parts[s].sh.timer(idx).vrun[0].n > 1 {
+				longRuns++
+			}
+		}
+	}
+	if merges < 20 || longRuns < 10 {
+		t.Fatalf("%d merges, %d with the flip timer's run pending past one arming; want ≥ 20 and ≥ 10", merges, longRuns)
+	}
+}
+
+// TestMergePartialsCountsTimerIDCollisions: merging Partials whose streams
+// share timer IDs reports each shared ID once in TimerIDCollisions;
+// namespaced streams report none.
+func TestMergePartialsCountsTimerIDCollisions(t *testing.T) {
+	const nstreams = 3
+	p, streams, origins := buildPartialStreams(t, nstreams)
+	merge := func(streams [][]trace.Record) *Report {
+		parts := make([]*Partial, len(streams))
+		for s, recs := range streams {
+			parts[s] = p.NewPartial()
+			parts[s].AddChunk(trace.Chunk{Records: recs, Origins: origins})
+		}
+		return p.MergePartials(parts)
+	}
+	if got := merge(streams).TimerIDCollisions; got != 0 {
+		t.Fatalf("namespaced streams: %d collisions, want 0", got)
+	}
+
+	// Strip the namespace from the first two streams: every ID they share
+	// collides, and the third stream's IDs stay apart.
+	shared := make([][]trace.Record, nstreams)
+	inStream := make([]map[uint64]bool, 2)
+	for s, recs := range streams {
+		shared[s] = slices.Clone(recs)
+		if s >= 2 {
+			continue
+		}
+		inStream[s] = map[uint64]bool{}
+		for i := range shared[s] {
+			shared[s][i].TimerID &= 1<<48 - 1
+			inStream[s][shared[s][i].TimerID] = true
+		}
+	}
+	want := 0
+	for id := range inStream[0] {
+		if inStream[1][id] {
+			want++
+		}
+	}
+	if want < 100 {
+		t.Fatalf("fixture: streams 0 and 1 share only %d timer IDs", want)
+	}
+	if got := merge(shared).TimerIDCollisions; got != want {
+		t.Fatalf("shared IDs: %d collisions, want %d", got, want)
 	}
 }

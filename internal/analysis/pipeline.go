@@ -71,6 +71,11 @@ type Report struct {
 	Series []SeriesPoint
 	// Origins is the Table 3 listing (nil unless requested).
 	Origins []OriginRow
+	// TimerIDCollisions is the number of timer IDs MergePartials found in
+	// more than one Partial, which the merge contract rules out (zero for
+	// Run and RunParallel). No JSON section renders it; the live service
+	// reports it on /api/metrics.
+	TimerIDCollisions int `json:"-"`
 }
 
 // tvalSlot is one (timeout value, count) pair of a timer's closed-use
@@ -90,57 +95,90 @@ type tvalSlot struct {
 const inlineTvals = 4
 
 // streamTimer is the bounded per-timer state the streaming pass keeps in
-// place of a full TimerLife: classification tallies, the open use, the
-// previous closed use (for immediate-reset pairing) and the one pending use
-// whose countdown-chain membership the next arming decides. Everything else
-// folds into the shared accumulators as uses open and close.
+// place of a full TimerLife: classification tallies, the armed use, the
+// previous closed use (for immediate-reset pairing), the pending use whose
+// countdown-chain membership the next arming decides, and the pending runs
+// that batch its histogram samples. Everything else folds into the shared
+// accumulators as uses open and close.
 //
 // streamTimers live in a shard's block arena and are never allocated
-// individually; the zero value is the fresh state.
+// individually; the zero value is the fresh state. Fields are ordered so
+// the flags pack at the end: the struct is 232 bytes
+// (TestStreamTimerSize pins it at most 280).
 type streamTimer struct {
 	originName string
-	user       bool
 
-	// The currently armed use, if any.
+	// The origin ID and PID of this timer's last record (valid while
+	// hasCluster is set), so record resolves and inserts its (origin name,
+	// PID) cluster key only when they change.
+	lastOrigin uint32
+	lastPID    int32
+
+	// origin is this timer's Table 3 row in the shard's origin table,
+	// looked up under the current originName when its first run of
+	// armings flushes (nil before that, and whenever the shard keeps no
+	// origin table).
+	origin *originStats
+
+	// The most recently armed use. While open is set it is the armed use;
+	// after it closes it stays pending (hasPend) until the next arming
+	// resolves its countdown-chain membership, or the fold does.
+	pendAt      sim.Time
+	pendTimeout sim.Duration
+
+	// End of the previous closed use, for the expiry→re-set pairing.
+	prevEndAt sim.Time
+
+	// Tallies over closed uses — exactly the uses Classify sees after
+	// dropping a trailing dangling one. They are 32-bit to keep the struct
+	// small, so classify and constantValue widen them to int before any
+	// arithmetic; one timer identity would need 2^31 closed uses to
+	// overflow them. Timeout values count into inline slots, spilling to
+	// tvMore only past inlineTvals distinct values.
+	closed       int32
+	expired      int32
+	canceled     int32
+	reset        int32
+	earlyCancels int32
+	immediate    int32
+	tv           [inlineTvals]tvalSlot
+	tvMore       map[sim.Duration]int
+
+	// Pending runs of equal histogram samples: vrun[i] feeds the shard's
+	// i-th value accumulator, orun the origin row. A run reaches its map
+	// only when the next sample differs (see valueRun) or at foldFrom.
+	vrun [maxValueAccs]valueRun
+	orun valueRun
+
+	ntv     uint8
+	prevEnd EndKind
+	user    bool
 	open    bool
-	openUse Use
 	// candImmediate marks an open use whose arming followed the previous
 	// use's expiry within the jitter tolerance; it counts toward the
 	// periodic signature only if this use closes (matching Classify's
 	// truncated-slice semantics).
 	candImmediate bool
-
-	// Previous closed use, for the expiry→re-set pairing.
-	hasPrev   bool
-	prevEnd   EndKind
-	prevEndAt sim.Time
-
-	// Countdown-chain detection: membership of the most recently opened
-	// use resolves when the next one opens (or at end of trace).
-	hasPend  bool
-	pend     Use
+	hasPrev       bool
+	hasPend       bool
+	// fromPrev records whether the pending use continued a countdown step
+	// from its predecessor.
 	fromPrev bool
-
-	// Tallies over closed uses — exactly the uses Classify sees after
-	// dropping a trailing dangling one. Timeout values count into inline
-	// slots, spilling to tvMore only past inlineTvals distinct values.
-	closed       int
-	expired      int
-	canceled     int
-	reset        int
-	earlyCancels int
-	immediate    int
-	ntv          uint8
-	tv           [inlineTvals]tvalSlot
-	tvMore       map[sim.Duration]int
-
 	// hasUse reports at least one arming ever (gates the Figure 2 tally).
 	hasUse bool
+	// hasCluster marks lastOrigin/lastPID as set and resolved to a known
+	// name; an ID that resolved to "?" is resolved again at the next
+	// record, in case a later chunk's origin table names it.
+	hasCluster bool
+}
 
-	// The (origin name, PID) cluster key of this timer's last record, so
-	// record writes the shard's cluster set only when the key changes.
-	hasCluster  bool
-	lastCluster cluster
+// maxValueAccs is the most value accumulators a shard runs: Values,
+// ValuesFiltered and ValuesUser.
+const maxValueAccs = 3
+
+// pend returns the most recently armed use as a dangling Use.
+func (t *streamTimer) pend() Use {
+	return Use{SetAt: t.pendAt, Timeout: t.pendTimeout}
 }
 
 // addTval counts one closed-use timeout value.
@@ -189,7 +227,8 @@ var arenaBlocksMade atomic.Int64
 // artifacts of one stream, so merging Partials fed by different producers
 // would otherwise split (or fuse) clusters that a single run over the
 // concatenated streams counts as one. Within one source the two keyings are
-// identical — interning makes name and ID one-to-one.
+// identical — interning makes name and ID one-to-one — so record watches
+// a timer's (ID, PID) for a change and resolves the name only then.
 type cluster struct {
 	origin string
 	pid    int32
@@ -214,10 +253,12 @@ type shard struct {
 	shares   ClassShares
 	clusters map[cluster]bool
 
-	// Timer table: creation-order arena blocks indexed through byID.
+	// Timer table: creation-order arena blocks indexed through byID, with
+	// idCache in front of the map.
 	byID    map[uint64]int32
 	blocks  []*timerBlock
 	nTimers int
+	idCache [idCacheSize]idCacheEntry
 
 	// openCount/maxOpen track pending-timer concurrency; exact only when
 	// the shard owns every timer (Run). RunParallel tracks concurrency
@@ -225,6 +266,22 @@ type shard struct {
 	openCount, maxOpen int
 
 	tvScratch []tvalSlot
+}
+
+// idCacheBits sizes the direct-mapped timer-ID cache in front of
+// shard.byID: 512 entries, 8 KiB per shard. A timer's slot is the top
+// idCacheBits of hashTimerID, not the low bits RunParallel's shard
+// modulus uses, so every shard of a parallel run spreads over all slots.
+const (
+	idCacheBits = 9
+	idCacheSize = 1 << idCacheBits
+)
+
+// idCacheEntry maps one timer ID to its arena index plus one; zero marks
+// an empty entry, so the zero cache is empty.
+type idCacheEntry struct {
+	id  uint64
+	idx int32
 }
 
 func (p Pipeline) newShard() *shard {
@@ -257,8 +314,19 @@ func (s *shard) timer(idx int32) *streamTimer {
 	return &s.blocks[idx>>timerBlockShift][idx&timerBlockMask]
 }
 
-// newTimer allocates the next arena slot; the cold path of record.
-func (s *shard) newTimer(id uint64, name string) *streamTimer {
+// lookup finds or creates the arena slot of a timer that missed the ID
+// cache, and installs it in the cache entry e; the cold path of record.
+func (s *shard) lookup(id uint64, e *idCacheEntry, origins []string, src trace.Source, origin uint32) *streamTimer {
+	idx, ok := s.byID[id]
+	if !ok {
+		idx = s.newTimer(id, resolveOrigin(origins, src, origin))
+	}
+	*e = idCacheEntry{id: id, idx: idx + 1}
+	return s.timer(idx)
+}
+
+// newTimer allocates the next arena slot and returns its index.
+func (s *shard) newTimer(id uint64, name string) int32 {
 	if s.nTimers>>timerBlockShift == len(s.blocks) {
 		b, _ := timerBlocks.Get().(*timerBlock)
 		if b == nil {
@@ -270,9 +338,8 @@ func (s *shard) newTimer(id uint64, name string) *streamTimer {
 	idx := int32(s.nTimers)
 	s.nTimers++
 	s.byID[id] = idx
-	t := s.timer(idx)
-	t.originName = name
-	return t
+	s.timer(idx).originName = name
+	return idx
 }
 
 // releaseArena clears the shard's used arena slots and gives its blocks to
@@ -283,6 +350,7 @@ func (s *shard) releaseArena() {
 		timerBlocks.Put(b)
 	}
 	s.blocks, s.nTimers = nil, 0
+	clear(s.idCache[:])
 }
 
 // resolveOrigin resolves an origin ID through a chunk snapshot when one is
@@ -300,24 +368,25 @@ func resolveOrigin(origins []string, src trace.Source, id uint32) string {
 // record folds one trace record. origins is the chunk's origin snapshot
 // (src is only consulted when it is nil — the non-chunked fallback).
 //
-//lint:allocfree per-record hot path; timer state comes from the block arena and every tally is inline or in a warmed map (TestShardRecordZeroAlloc)
+//lint:allocfree per-record hot path; timer state comes from the block arena through the ID cache, histogram samples batch in per-timer pending runs, and the maps behind them are warm (TestShardRecordZeroAlloc)
 func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 	var t *streamTimer
-	if idx, ok := s.byID[r.TimerID]; ok {
-		t = s.timer(idx)
+	if e := &s.idCache[hashTimerID(r.TimerID)>>(64-idCacheBits)]; e.idx != 0 && e.id == r.TimerID {
+		t = s.timer(e.idx - 1)
 	} else {
-		t = s.newTimer(r.TimerID, resolveOrigin(origins, src, r.Origin))
+		t = s.lookup(r.TimerID, e, origins, src, r.Origin)
 	}
 	if r.Flags&trace.FlagUser != 0 {
 		t.user = true
 	}
 	if t.originName == "?" {
-		t.originName = resolveOrigin(origins, src, r.Origin)
+		s.rename(t, resolveOrigin(origins, src, r.Origin))
 	}
 	s.sum.Accesses++
-	if k := (cluster{resolveOrigin(origins, src, r.Origin), r.PID}); !t.hasCluster || k != t.lastCluster {
-		s.clusters[k] = true
-		t.lastCluster, t.hasCluster = k, true
+	if !t.hasCluster || r.Origin != t.lastOrigin || r.PID != t.lastPID {
+		name := resolveOrigin(origins, src, r.Origin)
+		s.clusters[cluster{name, r.PID}] = true
+		t.lastOrigin, t.lastPID, t.hasCluster = r.Origin, r.PID, name != "?"
 	}
 	if r.IsUser() {
 		s.sum.UserSpace++
@@ -340,31 +409,27 @@ func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 				s.maxOpen = s.openCount
 			}
 		}
-		u := Use{
-			SetAt:   r.T,
-			Timeout: sim.Duration(r.Timeout),
-			End:     EndDangling,
-			IsWait:  r.Op == trace.OpWait,
-		}
+		u := Use{SetAt: r.T, Timeout: sim.Duration(r.Timeout)}
 		t.candImmediate = t.hasPrev && t.prevEnd == EndExpired &&
 			r.T.Sub(t.prevEndAt) <= JitterTolerance
 		if t.hasPend {
-			step := isCountdownStep(t.pend, u)
-			s.resolve(t, t.pend, t.fromPrev || step, step && !t.fromPrev)
+			step := isCountdownStep(t.pend(), u)
+			s.resolve(&t.vrun, t, t.pendTimeout, t.fromPrev || step, step && !t.fromPrev)
 			t.fromPrev = step
 		} else {
 			t.fromPrev = false
 		}
-		t.pend, t.hasPend = u, true
+		t.pendAt, t.pendTimeout, t.hasPend = u.SetAt, u.Timeout, true
 		if s.seriesProcess != "" && processOf(t.originName) == s.seriesProcess {
 			s.pts = append(s.pts, SeriesPoint{T: u.SetAt, V: u.Timeout})
 		}
 		if s.origins != nil {
-			s.origins.observeUse(t.originName, t.user, u.Timeout)
+			if done := t.orun.push(t.user, u.Timeout); done.n != 0 {
+				s.flushOrigin(t, done)
+			}
 		}
 		t.hasUse = true
 		t.open = true
-		t.openUse = u
 	case trace.OpCancel:
 		s.sum.Canceled++
 		if t.open {
@@ -380,23 +445,52 @@ func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 	}
 }
 
+// flushOrigin adds a finished run of the timer's armings to its Table 3
+// row, looking the row up (and creating it) the first time under the
+// timer's current name. It stays out of line so the row's allocation is
+// not inlined into record.
+//
+//go:noinline
+func (s *shard) flushOrigin(t *streamTimer, r valueRun) {
+	if t.origin == nil {
+		t.origin = s.origins.stats(t.originName)
+	}
+	s.origins.flushRun(t.origin, r)
+}
+
+// rename gives a timer first seen under the unresolved origin "?" the
+// name a later record resolves. Its pending origin run holds armings made
+// under the old name, so the run flushes to the old name's row, and the
+// next flush looks the row up under the new name.
+func (s *shard) rename(t *streamTimer, name string) {
+	if name == t.originName {
+		return
+	}
+	if t.orun.n != 0 {
+		s.flushOrigin(t, t.orun)
+	}
+	t.origin, t.orun = nil, valueRun{}
+	t.originName = name
+}
+
 // resolve folds one use whose chain membership is now known into the value
-// histograms: collapsed accumulators take chain starts and non-members,
-// plain ones take every use.
-func (s *shard) resolve(t *streamTimer, u Use, member, chainStart bool) {
-	for _, a := range s.vaccs {
+// histograms, through runs (runs[i] pends for the i-th accumulator):
+// collapsed accumulators take chain starts and non-members, plain ones
+// take every use.
+func (s *shard) resolve(runs *[maxValueAccs]valueRun, t *streamTimer, timeout sim.Duration, member, chainStart bool) {
+	for i, a := range s.vaccs {
 		if a.opts.excludedAttrs(t.user, t.originName) {
 			continue
 		}
 		if a.opts.CollapseCountdowns && member && !chainStart {
 			continue
 		}
-		a.addAttrs(t.user, u.Timeout)
+		a.addRun(&runs[i], t.user, timeout)
 	}
 }
 
 func (s *shard) closeUse(t *streamTimer, endAt sim.Time, end EndKind, satisfied bool) {
-	u := t.openUse
+	u := t.pend()
 	u.EndAt, u.End, u.Satisfied = endAt, end, satisfied
 	t.open = false
 	t.closed++
@@ -421,26 +515,28 @@ func (s *shard) closeUse(t *streamTimer, endAt sim.Time, end EndKind, satisfied 
 	t.hasPrev, t.prevEnd, t.prevEndAt = true, end, endAt
 }
 
-// classify mirrors Classify over the closed-use tallies.
+// classify mirrors Classify over the closed-use tallies, widened to int
+// before they multiply.
 func (s *shard) classify(t *streamTimer) Class {
-	total := t.closed
+	total := int(t.closed)
 	if total < 2 {
 		return ClassOther
 	}
 	if !s.constantValue(t) {
 		return ClassOther
 	}
+	expired, canceled, reset := int(t.expired), int(t.canceled), int(t.reset)
 	switch {
-	case t.expired == 0 && t.reset > 0 && t.reset >= t.canceled:
+	case expired == 0 && reset > 0 && reset >= canceled:
 		return ClassWatchdog
-	case t.reset > 0 && t.expired > 0 && t.canceled*10 <= total:
+	case reset > 0 && expired > 0 && canceled*10 <= total:
 		return ClassDeferred
-	case t.expired*10 >= total*9:
-		if t.expired > 0 && float64(t.immediate)/float64(t.expired) >= 0.8 {
+	case expired*10 >= total*9:
+		if expired > 0 && float64(t.immediate)/float64(expired) >= 0.8 {
 			return ClassPeriodic
 		}
 		return ClassDelay
-	case t.canceled*10 >= total*8 && t.canceled > 0 && t.earlyCancels*10 >= t.canceled*8:
+	case canceled*10 >= total*8 && canceled > 0 && int(t.earlyCancels)*10 >= canceled*8:
 		return ClassTimeout
 	default:
 		return ClassOther
@@ -452,7 +548,7 @@ func (s *shard) classify(t *streamTimer) Class {
 // The shard's scratch slice keeps the fold allocation-free, and sorting the
 // k distinct values costs O(k log k): countdown timers reach thousands.
 func (s *shard) constantValue(t *streamTimer) bool {
-	n := t.closed
+	n := int(t.closed)
 	vals := s.tvScratch[:0]
 	for i := 0; i < int(t.ntv); i++ {
 		vals = append(vals, t.tv[i])
@@ -487,26 +583,44 @@ func (s *shard) constantValue(t *streamTimer) bool {
 // fold finishes the shard's own per-timer state after the last record.
 func (s *shard) fold() { s.foldFrom(s) }
 
-// foldFrom finishes src's per-timer state into s's accumulators: trailing
-// pending uses resolve, and each timer with at least one use classifies
-// into s's Figure 2 and Table 3 tallies. It only reads src's timer table,
-// so src may be a live shard that keeps folding records afterwards. Timers
+// foldFrom finishes src's per-timer state into s's accumulators: pending
+// runs flush, trailing pending uses resolve, and each timer with at least
+// one use classifies into s's Figure 2 and Table 3 tallies. When s is src
+// (fold), the runs flush and clear. Otherwise src is only read, so it may
+// be a live Partial that keeps folding records afterwards: its pending
+// runs add into s and stay pending in src, and the next merge, into a
+// fresh shard, adds them again with whatever they gained since. Timers
 // fold in creation order, but nothing order-sensitive leaves the fold:
 // every output is an additive tally or canonically sorted at finish.
 func (s *shard) foldFrom(src *shard) {
 	for i := 0; i < src.nTimers; i++ {
 		t := src.timer(int32(i))
+		runs := t.vrun
 		if t.hasPend {
 			// The last use has no successor: a chain member only if the
 			// step from its predecessor held.
-			s.resolve(t, t.pend, t.fromPrev, false)
+			s.resolve(&runs, t, t.pendTimeout, t.fromPrev, false)
+		}
+		for k, a := range s.vaccs {
+			a.flushRun(runs[k])
+		}
+		if s == src {
+			t.vrun = [maxValueAccs]valueRun{}
 		}
 		if t.hasUse {
 			class := s.classify(t)
 			s.shares.Counts[class]++
 			s.shares.Total++
 			if s.origins != nil {
-				s.origins.observeTimer(t.originName, class)
+				st := t.origin
+				if st == nil || s != src {
+					st = s.origins.stats(t.originName)
+				}
+				s.origins.flushRun(st, t.orun)
+				if s == src {
+					t.orun = valueRun{}
+				}
+				st.observeTimer(class)
 			}
 		}
 	}

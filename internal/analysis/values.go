@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -59,6 +60,9 @@ func (o ValueOptions) excludedAttrs(user bool, origin string) bool {
 	if o.UserOnly && !user {
 		return true
 	}
+	if len(o.ExcludeProcesses) == 0 {
+		return false
+	}
 	proc := processOf(origin)
 	for _, p := range o.ExcludeProcesses {
 		if proc == p {
@@ -113,12 +117,56 @@ func (a *valueAcc) add(tl *TimerLife, v sim.Duration) {
 	a.addAttrs(tl.User, v)
 }
 
-// addAttrs bins and counts one sample given the timer's attributes; the
-// streaming pipeline calls it as uses resolve.
+// addAttrs bins and counts one sample given the timer's attributes.
 func (a *valueAcc) addAttrs(user bool, v sim.Duration) {
 	b, j := a.opts.binAttrs(user, v)
 	a.counts[valueKey{b, j}]++
 	a.total++
+}
+
+// valueRun is one timer's pending run of equal samples for one histogram:
+// the raw value, the user flag it bins under, and how many times it
+// repeated. Most samples repeat their timer's previous one (86% on the
+// nine seed-1 evaluation traces), so the streaming fold counts a repeat
+// here and touches the histogram map only when the run breaks. The zero run is empty and also reads as
+// (0, kernel) with no samples, so a first sample of 0 extends it.
+type valueRun struct {
+	v    sim.Duration
+	n    int32
+	user bool
+}
+
+// push counts one sample into r. When the sample breaks the run (another
+// value or user flag, or a full counter) r restarts with it and push
+// returns the finished run for the caller to flush; otherwise it returns
+// the empty run.
+func (r *valueRun) push(user bool, v sim.Duration) valueRun {
+	if r.v == v && r.user == user && r.n < math.MaxInt32 {
+		r.n++
+		return valueRun{}
+	}
+	done := *r
+	*r = valueRun{v: v, n: 1, user: user}
+	return done
+}
+
+// addRun counts one sample through the timer's pending run r; the
+// streaming pipeline calls it as uses resolve.
+func (a *valueAcc) addRun(r *valueRun, user bool, v sim.Duration) {
+	a.total++
+	if done := r.push(user, v); done.n != 0 {
+		a.flushRun(done)
+	}
+}
+
+// flushRun adds a finished or pending run's samples to the histogram bins;
+// a.total already counted them in addRun.
+func (a *valueAcc) flushRun(r valueRun) {
+	if r.n == 0 {
+		return
+	}
+	b, j := a.opts.binAttrs(r.user, r.v)
+	a.counts[valueKey{b, j}] += int(r.n)
 }
 
 // observe folds one timer's uses into the histogram.

@@ -264,15 +264,18 @@ func (f *Fleet) route() int {
 }
 
 // minNextAt returns the earliest pending event time across the fleet, read
-// from the index. Stopped engines (killed hosts) index as never: their
-// backlog cannot execute, and letting it anchor the idle-jump target would
-// pin the fleet to an instant that never drains.
-func (f *Fleet) minNextAt() (sim.Time, bool) {
-	best := never
-	for _, t := range f.next {
-		best = min(best, t)
+// from the index, and the first host indexed at it. Stopped engines
+// (killed hosts) index as never: their backlog cannot execute, and letting
+// it anchor the idle-jump target would pin the fleet to an instant that
+// never drains.
+func (f *Fleet) minNextAt() (host int, t sim.Time, ok bool) {
+	t = never
+	for i, at := range f.next {
+		if at < t {
+			host, t = i, at
+		}
 	}
-	return best, best != never
+	return host, t, t != never
 }
 
 // Counters sums the per-host sink counters (for sinks that keep them). A

@@ -289,3 +289,74 @@ func TestSendAtBarrierPanics(t *testing.T) {
 		t.Fatalf("rejected Send queued a message: outbox %d, Sent %d -> %d", len(h.outbox), sent, h.Sent)
 	}
 }
+
+// staleIndexFleet builds two bare-engine hosts on one link of the given
+// latency: "a" with one event armed at 5 ms, "b" with nothing to run. Its
+// per-host advance skips b's index refresh, as a dropped refresh point
+// would, so a stale entry planted for b survives every window.
+func staleIndexFleet(latency sim.Duration) (*Fleet, *Host) {
+	fab := netsim.NewFabric()
+	fab.AddHost("a")
+	fab.AddHost("b")
+	fab.SetDefaultPath(netsim.PathConfig{Latency: latency})
+	fab.Freeze()
+	f := New(fab)
+	var hosts []*Host
+	for i, n := range []string{"a", "b"} {
+		h := f.AddHost(n, HostSeed(1, i), trace.NewHashSink(), &wakeModel{})
+		h.Eng = sim.NewEngine(HostSeed(1, i))
+		hosts = append(hosts, h)
+	}
+	hosts[0].Steer(Directive{Kind: dirWake, Dur: sim.Duration(5 * sim.Millisecond)})
+	stale := hosts[1]
+	f.advanceFn = func(i int) {
+		h := f.hosts[i]
+		h.windowExecuted = h.Eng.AdvanceUntil(f.horizon)
+		if i != stale.Index {
+			f.refresh(i)
+		}
+	}
+	return f, stale
+}
+
+// TestStepPanicsOnStaleIndex: a next-event entry before the window floor
+// that the host's engine does not confirm makes Step panic, naming the
+// host and the instants, in the idle-window jump and in lock-step, instead
+// of moving the floor back and stepping the same window forever.
+// (Entries before the floor that the engine confirms, such as a restarted
+// host's backlog, are exercised by TestNextIndexConsistency.)
+func TestStepPanicsOnStaleIndex(t *testing.T) {
+	cases := []struct {
+		name    string
+		latency sim.Duration
+		plant   func(f *Fleet, s *Session, stale *Host)
+		want    string
+	}{
+		{"idle-window", sim.Duration(sim.Millisecond), func(f *Fleet, s *Session, stale *Host) {
+			f.next[stale.Index] = s.Floor()
+		}, "host b indexed at 0, before the idle window's horizon 1000000"},
+		{"lockstep", 0, func(f *Fleet, s *Session, stale *Host) {
+			s.Step() // runs a's event at 5 ms: the floor moves past it
+			f.next[stale.Index] = sim.Time(sim.Millisecond)
+		}, "host b indexed at 1000000, before the lock-step floor 5000001"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, stale := staleIndexFleet(tc.latency)
+			s := f.StartSession(sim.Time(sim.Second), 1)
+			defer s.Close()
+			tc.plant(f, s, stale)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				for i := 0; i < 1000 && s.Step(); i++ {
+				}
+				return nil
+			}()
+			msg, _ := got.(string)
+			if !strings.Contains(msg, tc.want) || !strings.Contains(msg, "stale next-event index entry") {
+				t.Fatalf("stale entry: recovered %v after %d windows, floor %d; want a panic containing %q",
+					got, s.Windows(), s.Floor(), tc.want)
+			}
+		})
+	}
+}

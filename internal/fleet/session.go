@@ -1,6 +1,10 @@
 package fleet
 
-import "timerstudy/internal/sim"
+import (
+	"fmt"
+
+	"timerstudy/internal/sim"
+)
 
 // Session runs the fleet one window per Step call, so a caller (the
 // control plane, internal/control) can act between windows; the algorithm
@@ -102,11 +106,12 @@ func (s *Session) Step() bool {
 		s.done = true
 	case s.lookahead == 0:
 		// Degenerate lock-step: one global timestamp per round.
-		t, ok := f.minNextAt()
+		host, t, ok := f.minNextAt()
 		if !ok || t > s.end {
 			s.done = true
 			break
 		}
+		s.checkFloor(host, t, s.start, "the lock-step floor")
 		s.advance(t + 1)
 		f.route()
 		s.start = t + 1
@@ -123,18 +128,40 @@ func (s *Session) Step() bool {
 		moved := f.route()
 		if executed == 0 && moved == 0 {
 			// Idle window: jump to the next event anywhere in the fleet
-			// instead of spinning one empty window per lookahead.
-			t, ok := f.minNextAt()
+			// instead of spinning one empty window per lookahead. Every
+			// host due before the horizon was just advanced and refreshed,
+			// so the jump can only go forward.
+			host, t, ok := f.minNextAt()
 			if !ok || t > s.end {
 				s.done = true
 				break
 			}
+			s.checkFloor(host, t, horizon, "the idle window's horizon")
 			s.start = t
 			break
 		}
 		s.start = horizon
 	}
 	return !s.done
+}
+
+// checkFloor panics when the next-event index puts host's next event at t,
+// before floor, and the host's engine does not confirm it: the entry is
+// stale (a missed refresh), and stepping to it would move the window floor
+// back and step the same empty window forever. An entry before the floor
+// that the engine confirms is real: a restarted host's frozen backlog
+// keeps its old stamps and fires late in the host's next window.
+func (s *Session) checkFloor(host int, t, floor sim.Time, what string) {
+	if t >= floor {
+		return
+	}
+	h := s.f.hosts[host]
+	at, ok := h.Eng.NextAt()
+	if ok && at == t && !h.Eng.Stopped() {
+		return
+	}
+	panic(fmt.Sprintf("fleet: host %s indexed at %d, before %s %d, but its engine's next event is %d (pending=%t, stopped=%t): stale next-event index entry",
+		h.Name, t, what, floor, at, ok, h.Eng.Stopped()))
 }
 
 // advance runs one window's advance up to horizon, counts it, and returns

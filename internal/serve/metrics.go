@@ -22,6 +22,9 @@ type Metrics struct {
 	MergeNSLast   atomic.Uint64
 	MergeNSTotal  atomic.Uint64
 	MergedRecords atomic.Uint64 // records covered by the latest merge
+	// TimerIDCollisions is the latest merge's count of timer IDs shared by
+	// more than one stream (analysis.Report.TimerIDCollisions).
+	TimerIDCollisions atomic.Uint64
 }
 
 // MetricsSnapshot is the JSON shape of /api/metrics.
@@ -48,6 +51,9 @@ type MetricsSnapshot struct {
 	MergeLastMS   float64 `json:"merge_last_ms"`
 	MergeTotalMS  float64 `json:"merge_total_ms"`
 	MergedRecords uint64  `json:"merged_records"`
+	// TimerIDCollisions is nonzero when streams share timer IDs, so the
+	// merged view folds each shared ID as one timer per stream.
+	TimerIDCollisions uint64 `json:"timer_id_collisions"`
 
 	IngestBytesPerSec   float64 `json:"ingest_bytes_per_sec"`
 	IngestRecordsPerSec float64 `json:"ingest_records_per_sec"`
@@ -80,6 +86,7 @@ func (m *Metrics) Snapshot(version string, uptime time.Duration) MetricsSnapshot
 		MergeTotalMS:   float64(m.MergeNSTotal.Load()) / 1e6,
 		MergedRecords:  m.MergedRecords.Load(),
 	}
+	s.TimerIDCollisions = m.TimerIDCollisions.Load()
 	if up := uptime.Seconds(); up > 0 {
 		s.IngestBytesPerSec = float64(s.IngestBytes) / up
 		s.IngestRecordsPerSec = float64(s.IngestRecords) / up

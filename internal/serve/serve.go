@@ -331,6 +331,7 @@ func (s *Server) view() *mergedState {
 	s.Metrics.MergeNSLast.Store(uint64(end.Sub(start).Nanoseconds()))
 	s.Metrics.MergeNSTotal.Add(uint64(end.Sub(start).Nanoseconds()))
 	s.Metrics.MergedRecords.Store(records)
+	s.Metrics.TimerIDCollisions.Store(uint64(rep.TimerIDCollisions))
 	return m
 }
 

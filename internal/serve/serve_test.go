@@ -203,6 +203,37 @@ func TestServeQuiesceDeterminism(t *testing.T) {
 	if met.IngestRecords != uint64(total) {
 		t.Errorf("ingest_records = %d want %d", met.IngestRecords, total)
 	}
+	if met.TimerIDCollisions != 0 {
+		t.Errorf("namespaced producers: timer_id_collisions = %d want 0", met.TimerIDCollisions)
+	}
+}
+
+// TestServeTimerIDCollisions: two producers whose streams reuse the same
+// timer IDs break the merge contract, and /api/metrics counts each shared
+// ID once in timer_id_collisions.
+func TestServeTimerIDCollisions(t *testing.T) {
+	srv := New(Options{Pipeline: testPipeline(), Clock: newFakeClock().now, Version: "test"})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for producer, name := range []string{"host-a", "host-b"} {
+		// Strip producerTrace's namespace: both streams use IDs 0..96.
+		b := producerTrace(producer, 500)
+		shared := trace.NewBuffer(len(b.Records()))
+		for _, r := range b.Records() {
+			r.TimerID &= 1<<48 - 1
+			r.Origin = shared.Origin(b.OriginName(r.Origin))
+			shared.Log(r)
+		}
+		replay(t, ts.URL, name, shared, 128)
+	}
+	httpGet(t, ts.URL+"/api/summary") // merge the quiesced streams
+	var met MetricsSnapshot
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/api/metrics"), &met); err != nil {
+		t.Fatal(err)
+	}
+	if met.TimerIDCollisions != 97 {
+		t.Fatalf("timer_id_collisions = %d, want 97 (IDs 0..96 in both streams)", met.TimerIDCollisions)
+	}
 }
 
 // encodeStream renders a Buffer as one complete v2 stream (header..footer).

@@ -39,10 +39,13 @@ go test -race -count=2 -run 'TestSpillMatchesMemory' ./cmd/experiments
 echo "== serial-vs-parallel analysis determinism golden test =="
 # Pipeline.RunParallel must produce byte-identical reports to Pipeline.Run
 # at every worker count, over buffers and v2 streams, including chunk sizes
-# that straddle origin frames and timer lifecycles; MergePartials over live
-# Partials, fed in random interleavings or concurrently with merges, must
-# equal one Run over the concatenated streams.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestParallelForEachMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot' \
+# that straddle origin frames and timer lifecycles, and on a trace of long
+# same-value runs; MergePartials over live Partials, fed in random
+# interleavings, concurrently with merges, or chunk by chunk with a merge
+# after every chunk while per-timer runs are still pending, must equal one
+# Run over the concatenated streams, and must count the timer IDs that
+# streams share.
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestParallelForEachMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -59,8 +62,9 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # buffers, a second StreamReader and a second analysis reuse the first
 # one's chunk buffers and arena blocks, a warm netsim Send plus delivery
 # allocates nothing, and a warm Linux connect/send/close cycle stays within
-# its stated bound.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
+# its stated bound. The analysis per-timer state (pending runs and cached
+# origin row included) stays within its 280-byte size pin.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
