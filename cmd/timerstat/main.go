@@ -5,11 +5,10 @@
 // expiry/cancelation scatter (Figures 8-11), and the origins table
 // (Table 3).
 //
-// Both trace formats are auto-detected: the v1 in-memory format and the
-// chunked v2 stream format (timertrace -stream). Everything except -deps
-// runs in one streaming pass with memory bounded by live timers, so a v2
-// trace larger than RAM analyses fine; -deps materializes per-timer
-// histories and needs O(trace) memory.
+// Traces are in the chunked v2 stream format that timertrace writes.
+// Everything except -deps runs in one streaming pass with memory bounded by
+// live timers, so a trace larger than RAM analyses fine; -deps materializes
+// per-timer histories and needs O(trace) memory.
 //
 // The streaming pass decodes and analyses on -j worker goroutines
 // (default: all CPUs); output is byte-identical at any worker count, so
@@ -169,7 +168,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "timerstat: %v\n", err)
 			return 1
 		}
-		src, err := trace.Open(f)
+		src, err := trace.NewStreamReader(f)
 		if err != nil {
 			f.Close()
 			fmt.Fprintf(os.Stderr, "timerstat: %v\n", err)
@@ -194,7 +193,7 @@ func analyze(p analysis.Pipeline, paths []string, jobs int) (*analysis.Report, e
 			return nil, err
 		}
 		defer f.Close()
-		src, err := trace.Open(f)
+		src, err := trace.NewStreamReader(f)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +207,7 @@ func analyze(p analysis.Pipeline, paths []string, jobs int) (*analysis.Report, e
 		if err != nil {
 			return nil, err
 		}
-		src, err := trace.Open(f)
+		src, err := trace.NewStreamReader(f)
 		if err != nil {
 			f.Close()
 			return nil, err

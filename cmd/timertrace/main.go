@@ -2,16 +2,15 @@
 // Linux or Vista system and writes the resulting binary timer trace — the
 // equivalent of the paper's relayfs/ETW collection step.
 //
-// By default the trace is buffered in memory and written in the v1 format
-// at the end. With -stream the records spill to the output file in the
-// chunked v2 format while the simulation runs, so memory stays bounded by
-// live timers and the trace can exceed RAM. timerstat auto-detects both
-// formats; the record streams are byte-for-byte identical.
+// The records spill to the output file in the chunked v2 stream format
+// while the simulation runs, so memory stays bounded by live timers and the
+// trace can exceed RAM. With -emit the same stream is also sent to a live
+// timerstat -serve service in the same pass.
 //
 // Usage:
 //
 //	timertrace -os linux -workload firefox -duration 30m -seed 1 -o firefox.trace
-//	timertrace -os vista -workload desktop -stream -o desktop.trace
+//	timertrace -os vista -workload desktop -o desktop.trace
 //
 // Workloads: idle, skype, firefox, webserver; the Vista personality also
 // offers "desktop" (the 90-second Figure 1 trace).
@@ -21,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"timerstudy/internal/analysis"
@@ -35,7 +35,6 @@ func run() int {
 	workload := flag.String("workload", "idle", "idle, skype, firefox, webserver, desktop (vista only)")
 	duration := flag.Duration("duration", 30*time.Minute, "virtual trace duration")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	stream := flag.Bool("stream", false, "stream records to the output in the v2 format during the run (bounded memory)")
 	out := flag.String("o", "", "output trace file (default <os>-<workload>.trace)")
 	emit := flag.String("emit", "", "also stream the trace to a live timerstat -serve service at this base URL")
 	emitStream := flag.String("emit-stream", "", "stream name for -emit (default <os>-<workload>)")
@@ -58,104 +57,72 @@ func run() int {
 		streamName = fmt.Sprintf("%s-%s", *osName, *workload)
 	}
 
-	var f *os.File
-	var sw *trace.StreamWriter
-	var hs *trace.HTTPSink
-	if *stream {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: %v\n", err)
-			return 1
-		}
-		sw = trace.NewStreamWriter(f)
-		cfg.Sink = sw
-		if *emit != "" {
-			// Single pass: tee the v2 stream to the live service while the
-			// simulation writes the file.
-			hs, err = trace.NewHTTPSink(*emit, streamName, trace.HTTPSinkOptions{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "timertrace: -emit: %v\n", err)
-				return 1
-			}
-			cfg.Sink = trace.Tee(sw, hs)
-		}
-	}
-
-	var res *workloads.Result
+	// Check the names before the output file is created: an unknown
+	// workload would otherwise panic inside the run and leave it empty.
+	var runWorkload func(string, workloads.Config) *workloads.Result
+	var names []string
 	switch *osName {
 	case "linux":
-		res = workloads.RunLinux(*workload, cfg)
+		runWorkload, names = workloads.RunLinux, workloads.LinuxWorkloads()
 	case "vista":
-		res = workloads.RunVista(*workload, cfg)
+		runWorkload, names = workloads.RunVista, append(workloads.VistaWorkloads(), workloads.Desktop)
 	default:
 		fmt.Fprintf(os.Stderr, "timertrace: unknown personality %q\n", *osName)
 		return 2
 	}
-
-	if *stream {
-		if hs != nil {
-			if err := hs.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "timertrace: -emit: %v\n", err)
-				return 1
-			}
-		}
-		if err := sw.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: writing %s: %v\n", path, err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: closing %s: %v\n", path, err)
-			return 1
-		}
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: %v\n", err)
-			return 1
-		}
-		if err := res.Trace.Encode(f); err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: writing %s: %v\n", path, err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "timertrace: closing %s: %v\n", path, err)
-			return 1
-		}
+	if !slices.Contains(names, *workload) {
+		fmt.Fprintf(os.Stderr, "timertrace: unknown %s workload %q (want one of %v)\n", *osName, *workload, names)
+		return 2
 	}
 
-	if *emit != "" && !*stream {
-		// Buffered run: replay the in-memory records to the live service.
-		hs, err := trace.NewHTTPSink(*emit, streamName, trace.HTTPSinkOptions{})
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "timertrace: %v\n", err)
+		return 1
+	}
+	sw := trace.NewStreamWriter(f)
+	cfg.Sink = sw
+	var hs *trace.HTTPSink
+	if *emit != "" {
+		// Single pass: tee the v2 stream to the live service while the
+		// simulation writes the file.
+		hs, err = trace.NewHTTPSink(*emit, streamName, trace.HTTPSinkOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "timertrace: -emit: %v\n", err)
 			return 1
 		}
-		b := res.Trace
-		for _, r := range b.Records() {
-			r.Origin = hs.Origin(b.OriginName(r.Origin))
-			hs.Log(r)
-		}
+		cfg.Sink = trace.Tee(sw, hs)
+	}
+
+	res := runWorkload(*workload, cfg)
+	if hs != nil {
 		if err := hs.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "timertrace: -emit: %v\n", err)
 			return 1
 		}
+	}
+	if err := sw.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "timertrace: writing %s: %v\n", path, err)
+		return 1
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "timertrace: closing %s: %v\n", path, err)
+		return 1
 	}
 
 	c := res.Counters
 	fmt.Printf("%s/%s: %v of virtual time, %d records (%d dropped) -> %s\n",
 		res.OS, res.Name, res.Duration, c.Total-c.Dropped, c.Dropped, path)
 
-	// Summarize from the written file: in stream mode the records were never
-	// held in memory, so replay them; in buffer mode this doubles as a
-	// round-trip check of what was just encoded.
+	// Summarize from the written file: the records were never held in
+	// memory, so replay them.
 	s, err := func() (analysis.Summary, error) {
 		rf, err := os.Open(path)
 		if err != nil {
 			return analysis.Summary{}, err
 		}
 		defer rf.Close()
-		src, err := trace.Open(rf)
+		src, err := trace.NewStreamReader(rf)
 		if err != nil {
 			return analysis.Summary{}, err
 		}

@@ -20,28 +20,33 @@ func testTopology() Topology {
 		Desktops:   6,
 		Seed:       42,
 		ThinkMean:  20 * sim.Millisecond,
-		NewSink:    func(string) trace.Sink { return trace.NewBuffer(trace.DefaultCapacity) },
 	}
 }
 
-// runOnce builds the test fleet, runs it, and returns the per-host encoded
-// trace bytes plus the merged analysis summary.
+// runOnce builds the test fleet with every host teed into a Buffer and a v2
+// StreamWriter, runs it, and returns the per-host stream bytes plus the
+// per-host analysis summaries.
 func runOnce(t *testing.T, top Topology, end sim.Time, workers int) ([][]byte, []analysis.Summary, RunStats) {
 	t.Helper()
+	streams := make(map[string]*bytes.Buffer)
+	top.NewSink = func(name string) trace.Sink {
+		streams[name] = new(bytes.Buffer)
+		return trace.Tee(trace.NewBuffer(trace.DefaultCapacity), trace.NewStreamWriter(streams[name]))
+	}
 	f := top.Build()
 	stats := f.StartSession(end, workers).Finish()
 	encs := make([][]byte, len(f.Hosts()))
 	sums := make([]analysis.Summary, len(f.Hosts()))
 	for i, h := range f.Hosts() {
-		buf, ok := h.Sink.(*trace.Buffer)
-		if !ok {
-			t.Fatalf("host %s sink is %T, want *trace.Buffer", h.Name, h.Sink)
+		fan := trace.Fan(h.Sink)
+		buf, ok := fan[0].(*trace.Buffer)
+		if !ok || len(fan) != 2 {
+			t.Fatalf("host %s sink fans out to %d sinks, want a Buffer and a StreamWriter", h.Name, len(fan))
 		}
-		var bb bytes.Buffer
-		if err := buf.Encode(&bb); err != nil {
+		if err := fan[1].(*trace.StreamWriter).Close(); err != nil {
 			t.Fatalf("encode %s: %v", h.Name, err)
 		}
-		encs[i] = bb.Bytes()
+		encs[i] = streams[h.Name].Bytes()
 		sums[i] = analysis.Summarize(buf)
 	}
 	return encs, sums, stats
@@ -83,11 +88,10 @@ func TestFleetDeterminismSweep(t *testing.T) {
 
 // TestFleetHashSinkMatchesBuffer: the digest-only sink used at 10k hosts
 // agrees with the byte-level comparison — same topology run through
-// HashSinks produces equal digests exactly when the Buffer runs produced
+// HashSinks produces equal digests exactly when the stream runs produced
 // equal bytes.
 func TestFleetHashSinkMatchesBuffer(t *testing.T) {
-	top := testTopology()
-	top.NewSink = nil // default: HashSink
+	top := testTopology() // default sink: HashSink
 	const end = sim.Time(sim.Second)
 	f1 := top.Build()
 	f1.StartSession(end, 1).Finish()

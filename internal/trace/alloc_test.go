@@ -102,3 +102,31 @@ func TestStreamWriterLogZeroAlloc(t *testing.T) {
 		t.Fatalf("counters %+v: StreamWriter must never drop", c)
 	}
 }
+
+// TestFrameDecoderFeedZeroAlloc guards the serve ingest decode: once the
+// header is in and the record scratch has grown, feeding a batch of record
+// frames allocates nothing, because the walker decodes straight out of the
+// batch. Run without -race in CI, like the other alloc guards.
+func TestFrameDecoderFeedZeroAlloc(t *testing.T) {
+	full := buildV2(t, 64, 16)
+	bounds := frameBoundaries(t, full)
+	var rframe []byte
+	for i := 0; rframe == nil && i+1 < len(bounds); i++ {
+		if full[bounds[i]] == frameRecords {
+			rframe = full[bounds[i]:bounds[i+1]]
+		}
+	}
+	d := NewFrameDecoder()
+	noop := func(Chunk) error { return nil }
+	// Everything but the footer, so the batch below may follow.
+	if err := d.Feed(full[:bounds[len(bounds)-2]], noop); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := d.Feed(rframe, noop); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Feed of a record-frame batch allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -1,32 +1,19 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"timerstudy/internal/sim"
 )
 
-// Binary trace file format:
-//
-//	header:  magic "TSTR" | version u32 | record count u64 | origin count u32
-//	origins: per origin, length-prefixed (u32) UTF-8 bytes
-//	records: RecordSize bytes each, little-endian, fields in struct order
-//
-// The format is self-contained: a decoded Buffer resolves origins exactly as
-// the live one did.
-
-const (
-	magic   = "TSTR"
-	version = 1
-)
+// magic opens every trace stream; the version that follows it is 2 (see
+// stream.go for the frame grammar).
+const magic = "TSTR"
 
 // RecordSize is the exact encoded size of one Record in bytes (fields in
 // struct order plus padding to an 8-byte multiple). DESIGN.md §"Trace
 // format" and DefaultCapacity both derive from this constant; a codec test
-// asserts the encoder really emits records of this size.
+// asserts the stream writer really emits records of this size.
 const RecordSize = 40
 
 // putRecord encodes one record into dst (the caller provides RecordSize
@@ -59,107 +46,6 @@ func getRecord(src []byte) Record {
 	}
 }
 
-// Encode writes the buffer in the binary trace format.
-func (b *Buffer) Encode(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [20]byte
-	copy(hdr[0:], magic)
-	le := binary.LittleEndian
-	le.PutUint32(hdr[4:], version)
-	le.PutUint64(hdr[8:], uint64(len(b.records)))
-	le.PutUint32(hdr[16:], uint32(len(b.origins)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var lenbuf [4]byte
-	for _, o := range b.origins {
-		le.PutUint32(lenbuf[:], uint32(len(o)))
-		if _, err := bw.Write(lenbuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(o); err != nil {
-			return err
-		}
-	}
-	var rec [RecordSize]byte
-	for _, r := range b.records {
-		putRecord(rec[:], r)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// maxReasonable bounds header-declared counts (records, origins) so a
-// corrupt header cannot drive huge allocations.
+// maxReasonable bounds declared counts (origin tables, checkpoint hosts) so
+// a corrupt stream cannot drive huge allocations.
 const maxReasonable = 1 << 28
-
-// readMagicVersion consumes and validates the 8-byte magic+version prefix
-// shared by every format version and returns the version.
-func readMagicVersion(br *bufio.Reader) (uint32, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(hdr[0:4]) != magic {
-		return 0, fmt.Errorf("trace: bad magic %q", hdr[0:4])
-	}
-	return binary.LittleEndian.Uint32(hdr[4:]), nil
-}
-
-// Decode reads a v1 binary trace written by Encode into a fresh Buffer whose
-// capacity equals the stored record count. Use Open to accept either format
-// version.
-func Decode(r io.Reader) (*Buffer, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := readMagicVersion(br)
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	return decodeV1(br)
-}
-
-// decodeV1 reads the remainder of a v1 trace after the magic+version prefix.
-func decodeV1(br *bufio.Reader) (*Buffer, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	le := binary.LittleEndian
-	nrec := le.Uint64(hdr[0:])
-	norig := le.Uint32(hdr[8:])
-	if nrec > maxReasonable || norig > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible header (records=%d origins=%d)", nrec, norig)
-	}
-	b := NewBuffer(int(nrec))
-	var lenbuf [4]byte
-	for i := uint32(0); i < norig; i++ {
-		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading origin %d: %w", i, err)
-		}
-		n := le.Uint32(lenbuf[:])
-		if n > 1<<16 {
-			return nil, fmt.Errorf("trace: origin %d implausibly long (%d)", i, n)
-		}
-		name := make([]byte, n)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("trace: reading origin %d: %w", i, err)
-		}
-		if i == 0 {
-			continue // origin 0 ("?") pre-exists in a fresh buffer
-		}
-		b.Origin(string(name))
-	}
-	var rec [RecordSize]byte
-	for i := uint64(0); i < nrec; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
-		}
-		b.Log(getRecord(rec[:]))
-	}
-	return b, nil
-}

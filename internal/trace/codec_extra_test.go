@@ -1,104 +1,121 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"timerstudy/internal/sim"
 )
 
-// buildEncoded returns a valid encoded trace for corruption tests.
-func buildEncoded(t *testing.T, nrec int) []byte {
-	t.Helper()
-	b := NewBuffer(nrec)
-	o := b.Origin("kernel/x")
-	for i := 0; i < nrec; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: o, Timeout: int64(sim.Second)})
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestRecordSizeGovernsEncoding pins the exported RecordSize constant to the
-// bytes the encoder actually emits: header (20) + length-prefixed origins +
-// RecordSize per record. DESIGN.md §"Trace format" quotes the same constant.
+// bytes the writer actually emits: an 'R' frame of n records is a kind byte,
+// a u32 count and n·RecordSize bytes. DESIGN.md §"Trace format" quotes the
+// same constant.
 func TestRecordSizeGovernsEncoding(t *testing.T) {
 	const nrec = 7
-	b := NewBuffer(nrec)
-	o := b.Origin("kernel/x")
-	for i := 0; i < nrec; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: o})
+	recs := make([]Record, nrec)
+	for i := range recs {
+		recs[i] = Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: 1}
 	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
+	full := encodeV2(t, nrec, []string{"kernel/x"}, recs)
+	bounds := frameBoundaries(t, full)
+	// Frames: 'O' (one origin), 'R' (all records), 'C'.
+	if len(bounds) != 4 || full[bounds[1]] != frameRecords {
+		t.Fatalf("frame layout %v, want 'O','R','C'", bounds)
 	}
-	originBytes := 0
-	for _, name := range []string{"?", "kernel/x"} {
-		originBytes += 4 + len(name)
-	}
-	want := 20 + originBytes + nrec*RecordSize
-	if buf.Len() != want {
-		t.Fatalf("encoded %d bytes, want %d (RecordSize=%d drifted from the encoder?)",
-			buf.Len(), want, RecordSize)
+	if got, want := bounds[2]-bounds[1], 5+nrec*RecordSize; got != want {
+		t.Fatalf("'R' frame of %d records is %d bytes, want %d (RecordSize=%d drifted from the writer?)",
+			nrec, got, want, RecordSize)
 	}
 }
 
+// TestDecodeTruncatedAtEveryBoundary cuts a FrameDecoder batch mid-frame at
+// every frame of a multi-chunk stream — right after the kind byte and
+// halfway through — and requires an error naming the byte offset where the
+// batch ended. A batch cut exactly at a frame boundary is not an error: the
+// decoder waits for the next batch.
 func TestDecodeTruncatedAtEveryBoundary(t *testing.T) {
-	full := buildEncoded(t, 5)
-	// Any strict prefix must fail cleanly, never panic or succeed.
-	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("decoded a %d-byte prefix of %d bytes", cut, len(full))
+	full := buildV2(t, 12, 4) // 3 record chunks + interleaved 'O' frames
+	bounds := frameBoundaries(t, full)
+	for i := 0; i+1 < len(bounds); i++ {
+		for _, cut := range []int{bounds[i] + 1, (bounds[i] + bounds[i+1]) / 2} {
+			d := NewFrameDecoder()
+			// Everything before the frame arrives whole, then a batch that
+			// ends mid-frame.
+			if err := d.Feed(full[:bounds[i]], func(Chunk) error { return nil }); err != nil {
+				t.Fatalf("frame %d: whole frames before the cut: %v", i, err)
+			}
+			err := d.Feed(full[bounds[i]:cut], func(Chunk) error { return nil })
+			want := fmt.Sprintf("byte offset %d: %s", cut, errNotAligned)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("frame %d cut at %d: err = %v, want %q", i, cut, err, want)
+			}
 		}
 	}
-	if _, err := Decode(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full stream failed: %v", err)
+	if _, err := feedBatches(full, bounds); err != nil {
+		t.Fatalf("stream fed frame by frame: %v", err)
 	}
 }
 
+// TestDecodeRejectsImplausibleCounts: an origin table, record chunk or
+// origin name whose declared size is absurd is refused before anything is
+// allocated for it, by every front end.
 func TestDecodeRejectsImplausibleCounts(t *testing.T) {
-	full := buildEncoded(t, 1)
-	// Corrupt the record count to something absurd.
-	for i := 8; i < 16; i++ {
-		full[i] = 0xff
+	le := binary.LittleEndian
+	frame := func(kind byte, words ...uint32) []byte {
+		b := append([]byte("TSTR\x02\x00\x00\x00"), kind)
+		for _, w := range words {
+			b = le.AppendUint32(b, w)
+		}
+		return b
 	}
-	if _, err := Decode(bytes.NewReader(full)); err == nil {
-		t.Fatal("accepted an implausible record count")
+	for name, in := range map[string][]byte{
+		"origin table": frame(frameOrigins, maxReasonable),
+		"record chunk": frame(frameRecords, maxChunkRecords+1),
+		"origin name":  frame(frameOrigins, 1, 1<<16+1),
+	} {
+		_, err := decodeAll(t, in)
+		if err == nil || !strings.Contains(err.Error(), "implausib") {
+			t.Fatalf("%s: err = %v, want an implausible-size error", name, err)
+		}
 	}
 }
 
+// TestDecodeRejectsWrongVersion: a stream whose header names another
+// version is refused by every front end, naming the version.
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	full := buildEncoded(t, 1)
-	full[4] = 99
-	if _, err := Decode(bytes.NewReader(full)); err == nil {
-		t.Fatal("accepted a future version")
+	_, err := decodeAll(t, mutate(buildV2(t, 1, 8), 4, 99))
+	if err == nil || !strings.Contains(err.Error(), "not a v2 stream (version 99)") {
+		t.Fatalf("err = %v, want not-a-v2-stream error", err)
 	}
 }
 
+// TestEncodeDecodeLargeTrace round-trips a many-chunk stream with a growing
+// origin table and compares every record through every front end.
 func TestEncodeDecodeLargeTrace(t *testing.T) {
-	b := NewBuffer(50_000)
-	for i := 0; i < 50_000; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: uint64(i % 100), Op: Op(i % 4),
-			Origin: b.Origin("o" + string(rune('a'+i%26)))})
+	const nrec = 50_000
+	origins := make([]string, 26)
+	for i := range origins {
+		origins[i] = "o" + string(rune('a'+i))
 	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
+	recs := make([]Record, nrec)
+	for i := range recs {
+		recs[i] = Record{T: sim.Time(i), TimerID: uint64(i % 100), Op: Op(i % 4),
+			Origin: uint32(1 + i%26)}
 	}
-	got, err := Decode(&buf)
+	got, err := decodeAll(t, encodeV2(t, 4096, origins, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 50_000 {
-		t.Fatalf("len = %d", got.Len())
+	if !reflect.DeepEqual(got.recs, recs) {
+		t.Fatalf("decoded %d records, differing from the %d written", len(got.recs), nrec)
 	}
-	for i := 0; i < 50_000; i += 9973 {
-		if got.Records()[i] != b.Records()[i] {
-			t.Fatalf("record %d mismatch", i)
+	for i, r := range got.recs {
+		if got.names[i] != origins[r.Origin-1] {
+			t.Fatalf("record %d origin %q, want %q", i, got.names[i], origins[r.Origin-1])
 		}
 	}
 }

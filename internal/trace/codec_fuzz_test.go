@@ -2,15 +2,116 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"timerstudy/internal/sim"
 )
 
-// The decoder faces files we did not write: truncated copies, corrupted
+// The decoders face streams we did not write: truncated copies, corrupted
 // headers, and records carrying operation or flag values this version never
-// emits. None of that may panic; valid streams must round-trip.
+// emits. None of that may panic; valid streams must round-trip. Both front
+// ends of the frame walker — StreamReader over an io.Reader and
+// FrameDecoder over frame-aligned batches — must agree on every input.
+
+// decoded is what one decode of a v2 stream yields: every record with its
+// origin name resolved, and the footer counters.
+type decoded struct {
+	recs     []Record
+	names    []string
+	counters Counters
+}
+
+// readStream decodes data through a StreamReader.
+func readStream(data []byte) (decoded, error) {
+	var out decoded
+	sr, err := NewStreamReader(bytes.NewReader(data))
+	if err != nil {
+		return out, err
+	}
+	err = sr.ForEach(func(r Record) {
+		out.recs = append(out.recs, r)
+		out.names = append(out.names, sr.OriginName(r.Origin))
+	})
+	out.counters, _ = sr.Counters()
+	return out, err
+}
+
+// feedBatches decodes data through a FrameDecoder, cutting it into batches
+// at the given ascending offsets. A clean end without the footer is reported
+// with StreamReader's error text, so the two front ends compare directly.
+func feedBatches(data []byte, cuts []int) (decoded, error) {
+	var out decoded
+	d := NewFrameDecoder()
+	emit := func(c Chunk) error {
+		for _, r := range c.Records {
+			out.recs = append(out.recs, r)
+			out.names = append(out.names, c.OriginName(r.Origin))
+		}
+		return nil
+	}
+	start := 0
+	for _, end := range append(cuts[:len(cuts):len(cuts)], len(data)) {
+		if err := d.Feed(data[start:end], emit); err != nil {
+			return out, err
+		}
+		start = end
+	}
+	if !d.Done() {
+		return out, fmt.Errorf("trace: stream truncated at byte offset %d: missing counters footer", d.Offset())
+	}
+	out.counters, _ = d.Counters()
+	return out, nil
+}
+
+// errText renders a decode error with a batch's truncation cause spelled as
+// a reader's, the one way the front ends' errors may differ.
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return strings.Replace(err.Error(), errNotAligned.Error(), io.ErrUnexpectedEOF.Error(), 1)
+}
+
+// decodeAll decodes data through a StreamReader and through a FrameDecoder
+// fed the stream as one batch and then one frame per batch. It fails the
+// test unless all three yield the same records, origins and counters, or
+// the same error at the same byte offset, and returns the common result.
+func decodeAll(tb testing.TB, data []byte) (decoded, error) {
+	tb.Helper()
+	want, wantErr := readStream(data)
+	for _, cuts := range [][]int{nil, scanFrames(data)} {
+		got, err := feedBatches(data, cuts)
+		if errText(err) != errText(wantErr) {
+			tb.Fatalf("FrameDecoder (cuts %v) error %q, StreamReader error %q", cuts, errText(err), errText(wantErr))
+		}
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			tb.Fatalf("FrameDecoder (cuts %v) decoded %+v, StreamReader %+v", cuts, got, want)
+		}
+	}
+	return want, wantErr
+}
+
+// encodeV2 writes records through a StreamWriter of the given chunk size,
+// interning origins in order first.
+func encodeV2(tb testing.TB, chunk int, origins []string, recs []Record) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sw := NewStreamWriterSize(&buf, chunk)
+	for _, o := range origins {
+		sw.Origin(o)
+	}
+	for _, r := range recs {
+		sw.Log(r)
+	}
+	if err := sw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // mutate returns a copy of b with the byte at i set to v.
 func mutate(b []byte, i int, v byte) []byte {
@@ -20,7 +121,11 @@ func mutate(b []byte, i int, v byte) []byte {
 }
 
 func TestDecodeAdversarial(t *testing.T) {
-	valid := buildEncoded(t, 3)
+	valid := buildV2(t, 3, 8)
+	// Byte 8 is the first frame: 'O' | u32 count | u32 len of the first name.
+	if valid[headerSize] != frameOrigins {
+		t.Fatalf("test layout drifted: frame %q at %d, want 'O'", valid[headerSize], headerSize)
+	}
 	cases := []struct {
 		name  string
 		input []byte
@@ -28,13 +133,13 @@ func TestDecodeAdversarial(t *testing.T) {
 		{"empty", nil},
 		{"bad magic", mutate(valid, 0, 'X')},
 		{"future version", mutate(valid, 4, 99)},
-		{"implausible origin count", mutate(valid, 19, 0xff)},
-		{"origin length over limit", mutate(valid, 20, 0xff)},
+		{"implausible origin count", mutate(valid, headerSize+4, 0xff)},
+		{"origin length over limit", mutate(valid, headerSize+5+3, 0xff)},
 		{"garbage", []byte(strings.Repeat("\xde\xad", 64))},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Decode(bytes.NewReader(c.input)); err == nil {
+			if _, err := decodeAll(t, c.input); err == nil {
 				t.Fatalf("decoded %q without error", c.name)
 			}
 		})
@@ -42,98 +147,47 @@ func TestDecodeAdversarial(t *testing.T) {
 }
 
 // TestDecodeToleratesUnknownOpsAndFlags feeds records whose Op and Flags
-// fields are outside every defined constant: they must decode intact (the
-// analysis layer is responsible for skipping what it does not understand),
-// and stringifying them must not panic.
+// fields are outside every defined constant: they must decode intact
+// through every front end (the analysis layer is responsible for skipping
+// what it does not understand), and stringifying them must not panic. A
+// record naming an origin never interned is the one thing refused (see
+// TestStreamReaderOriginOutOfRange); an unknown ID asked of OriginName
+// resolves to "?".
 func TestDecodeToleratesUnknownOpsAndFlags(t *testing.T) {
-	b := NewBuffer(4)
-	o := b.Origin("kernel/x")
 	recs := []Record{
-		{T: 1, TimerID: 1, Op: Op(200), Flags: Flags(0xffff), Origin: o},
-		{T: 2, TimerID: 2, Op: nOps, Origin: o},
-		{T: 3, TimerID: 3, Op: OpSet, Timeout: -int64(sim.Second), Origin: o},
-		{T: 4, TimerID: 4, Op: OpExpire, Origin: 0xdeadbeef}, // dangling origin id
+		{T: 1, TimerID: 1, Op: Op(200), Flags: Flags(0xffff), Origin: 1},
+		{T: 2, TimerID: 2, Op: nOps, Origin: 1},
+		{T: 3, TimerID: 3, Op: OpSet, Timeout: -int64(sim.Second), Origin: 1},
+		{T: 4, TimerID: 4, Op: OpExpire, Flags: Flags(0x8000)},
 	}
-	for _, r := range recs {
-		b.Log(r)
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := decodeAll(t, encodeV2(t, 2, []string{"kernel/x"}, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != len(recs) {
-		t.Fatalf("len = %d", got.Len())
+	if !reflect.DeepEqual(got.recs, recs) {
+		t.Fatalf("records %+v, want %+v", got.recs, recs)
 	}
-	for i, r := range got.Records() {
-		if r != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, r, recs[i])
-		}
+	for i, r := range got.recs {
 		if r.Op.String() == "" {
 			t.Fatalf("record %d: empty op name", i)
 		}
 	}
-	if got.OriginName(0xdeadbeef) != "?" {
-		t.Fatalf("dangling origin resolved to %q", got.OriginName(0xdeadbeef))
+	if got.counters.Unknown != 2 || got.counters.Total != 4 {
+		t.Fatalf("counters %+v, want 2 unknown of 4", got.counters)
+	}
+	sr, err := NewStreamReader(bytes.NewReader(encodeV2(t, 2, nil, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := sr.OriginName(0xdeadbeef); name != "?" {
+		t.Fatalf("dangling origin resolved to %q", name)
 	}
 }
 
-// FuzzDecode hammers the decoder with arbitrary bytes. A decode either fails
-// cleanly or yields a buffer that re-encodes and re-decodes to the same
-// record stream.
-func FuzzDecode(f *testing.F) {
-	empty := NewBuffer(0)
-	var seed bytes.Buffer
-	if err := empty.Encode(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-
-	full := NewBuffer(5)
-	o := full.Origin("kernel/x")
-	u := full.Origin("app/select")
-	for i := 0; i < 5; i++ {
-		full.Log(Record{T: sim.Time(i), TimerID: uint64(i % 2), Op: Op(i % 5),
-			Origin: o + uint32(i%2)*(u-o), Timeout: int64(i) * int64(sim.Millisecond)})
-	}
-	var fullBuf bytes.Buffer
-	if err := full.Encode(&fullBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fullBuf.Bytes())
-	f.Add(fullBuf.Bytes()[:len(fullBuf.Bytes())-7]) // truncated mid-record
-	f.Add([]byte("TSTR"))                           // magic only
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := Decode(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
-			t.Fatalf("re-encode of decoded stream: %v", err)
-		}
-		b2, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if b2.Len() != b.Len() {
-			t.Fatalf("round-trip record count %d != %d", b2.Len(), b.Len())
-		}
-		for i, r := range b2.Records() {
-			if r != b.Records()[i] {
-				t.Fatalf("round-trip record %d: %+v != %+v", i, r, b.Records()[i])
-			}
-		}
-	})
-}
-
-// FuzzDecodeV2 hammers the chunked-stream decoder with arbitrary bytes. A
-// replay either fails cleanly or yields records that survive a re-encode /
-// re-decode round trip with origin names intact.
+// FuzzDecodeV2 is a differential fuzzer over the one v2 frame walker: every
+// input goes to a StreamReader and to a FrameDecoder, as one batch and one
+// frame per batch, and all must agree (decodeAll). A valid stream must also
+// survive a re-encode / re-decode round trip with origin names intact.
 func FuzzDecodeV2(f *testing.F) {
 	seed := func(nrec, chunk int) []byte {
 		var buf bytes.Buffer
@@ -157,54 +211,38 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add([]byte("TSTR\x02\x00\x00\x00")) // header only, no footer
 	f.Add([]byte("TSTR"))
 
-	type flat struct {
-		r      Record
-		origin string
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := NewStreamReader(bytes.NewReader(data))
+		got, err := decodeAll(t, data)
 		if err != nil {
-			return
-		}
-		var recs []flat
-		if err := sr.ForEach(func(r Record) {
-			recs = append(recs, flat{r, sr.OriginName(r.Origin)})
-		}); err != nil {
 			return
 		}
 		// Valid stream: re-encode through a fresh writer (re-interning the
 		// origin names) and replay; the logical records must round-trip.
 		var buf bytes.Buffer
 		sw := NewStreamWriterSize(&buf, 3)
-		for _, fr := range recs {
-			r := fr.r
-			r.Origin = sw.Origin(fr.origin)
+		for i, r := range got.recs {
+			r.Origin = sw.Origin(got.names[i])
 			sw.Log(r)
 		}
 		if err := sw.Close(); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		sr2, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+		again, err := readStream(buf.Bytes())
 		if err != nil {
-			t.Fatalf("re-open: %v", err)
+			t.Fatalf("re-decode: %v", err)
 		}
-		i := 0
-		err = sr2.ForEach(func(r Record) {
-			want := recs[i].r
+		if len(again.recs) != len(got.recs) {
+			t.Fatalf("round-trip count %d != %d", len(again.recs), len(got.recs))
+		}
+		for i, r := range again.recs {
+			want := got.recs[i]
 			want.Origin = r.Origin // IDs may renumber; names are the identity
 			if r != want {
 				t.Fatalf("round-trip record %d: %+v != %+v", i, r, want)
 			}
-			if got := sr2.OriginName(r.Origin); got != recs[i].origin {
-				t.Fatalf("round-trip origin %d: %q != %q", i, got, recs[i].origin)
+			if again.names[i] != got.names[i] {
+				t.Fatalf("round-trip origin %d: %q != %q", i, again.names[i], got.names[i])
 			}
-			i++
-		})
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if i != len(recs) {
-			t.Fatalf("round-trip count %d != %d", i, len(recs))
 		}
 	})
 }

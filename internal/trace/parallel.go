@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -84,7 +83,7 @@ func (s *StreamReader) ForEachChunk(workers int, fn func(Chunk) error) error {
 		defer putRawChunk(rawp)
 		defer putRecChunk(recp)
 		raw, recs := *rawp, *recp
-		return s.walkFrames(
+		return s.walk(
 			func(need int) []byte {
 				if cap(raw) < need {
 					raw = make([]byte, need)
@@ -168,7 +167,7 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 		defer close(promises)
 		defer close(jobs)
 		var slot *[]byte
-		err := s.walkFrames(
+		err := s.walk(
 			func(need int) []byte {
 				if need <= chunkBytes {
 					slot = getRawChunk()
@@ -228,25 +227,4 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 	}
 	wg.Wait()
 	return err
-}
-
-// ParallelForEach walks src in record order like src.ForEach, but decodes
-// chunk payloads on up to workers goroutines when src supports it (fn still
-// runs on the calling goroutine, in order, so it needs no locking).
-// workers < 1 means GOMAXPROCS. Sources without chunked access fall back to
-// a plain ForEach.
-func ParallelForEach(src Source, workers int, fn func(Record)) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cs, ok := src.(ChunkedSource)
-	if !ok {
-		return src.ForEach(fn)
-	}
-	return cs.ForEachChunk(workers, func(c Chunk) error {
-		for _, r := range c.Records {
-			fn(r)
-		}
-		return nil
-	})
 }

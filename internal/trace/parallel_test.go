@@ -37,9 +37,9 @@ func replaySerial(t *testing.T, data []byte) ([]Record, []string) {
 	return recs, names
 }
 
-// TestParallelForEachMatchesSerial sweeps worker counts and asserts the
+// TestForEachChunkMatchesSerial sweeps worker counts and asserts the
 // parallel walk delivers exactly the serial record sequence, in order.
-func TestParallelForEachMatchesSerial(t *testing.T) {
+func TestForEachChunkMatchesSerial(t *testing.T) {
 	const nrec = 10_000
 	data := buildV2(t, nrec, 512) // ~20 chunks, incremental 'O' frame mid-stream
 	wantRecs, wantNames := replaySerial(t, data)
@@ -51,7 +51,10 @@ func TestParallelForEachMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []Record
-			if err := ParallelForEach(sr, workers, func(r Record) { got = append(got, r) }); err != nil {
+			if err := sr.ForEachChunk(workers, func(c Chunk) error {
+				got = append(got, c.Records...)
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(wantRecs) {
@@ -232,28 +235,5 @@ func TestForEachChunkSingleUse(t *testing.T) {
 	err = sr.ForEachChunk(4, func(Chunk) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "already consumed") {
 		t.Fatalf("second ForEachChunk: err = %v, want already-consumed error", err)
-	}
-}
-
-// TestParallelForEachFallback: a Source without chunked access must still
-// work through the serial path.
-type plainSource struct{ recs []Record }
-
-func (p *plainSource) ForEach(fn func(Record)) error {
-	for _, r := range p.recs {
-		fn(r)
-	}
-	return nil
-}
-func (p *plainSource) OriginName(uint32) string { return "?" }
-
-func TestParallelForEachFallback(t *testing.T) {
-	src := &plainSource{recs: []Record{{T: 1}, {T: 2}, {T: 3}}}
-	n := 0
-	if err := ParallelForEach(src, 8, func(r Record) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fallback delivered %d records, want 3", n)
 	}
 }

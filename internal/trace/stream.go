@@ -3,14 +3,13 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
-// Chunked v2 stream format. Unlike v1, nothing in the file depends on
-// totals known only at the end of a run, so a StreamWriter spills records
-// to disk while the simulation is still producing them and a StreamReader
-// replays files larger than RAM:
+// Chunked v2 stream format, the one on-disk trace format. Nothing in the
+// file depends on totals known only at the end of a run, so a StreamWriter
+// spills records to disk while the simulation is still producing them and a
+// StreamReader replays files larger than RAM:
 //
 //	header: magic "TSTR" | version u32 = 2
 //	frames, repeated:
@@ -19,7 +18,7 @@ import (
 //	      and never transmitted. A record chunk only references origins
 //	      appended by earlier frames.
 //	  'R' | u32 count | count × RecordSize bytes
-//	      one chunk of records, same 40-byte layout as v1.
+//	      one chunk of records, RecordSize bytes each (see putRecord).
 //	  'C' | ByOp[nOps] u64 | Total u64 | Dropped u64 | Unknown u64
 //	      the counters footer; exactly once, last. A stream without it is
 //	      truncated, bytes after it are garbage — both decode errors.
@@ -242,56 +241,21 @@ func (s *StreamWriter) Counters() Counters { return s.counters }
 // StreamReader is a single-use Source replaying a v2 stream. It holds one
 // chunk's worth of bytes plus the origin table — never the whole trace —
 // so files larger than RAM decode in constant memory. Reopen the underlying
-// file for a second pass.
+// file for a second pass. Its frame walker is the one FrameDecoder uses, so
+// a stream decodes identically read from a file or fed batch by batch.
 type StreamReader struct {
-	br       *bufio.Reader
-	origins  []string
-	counters Counters
-	footer   bool
+	frameWalker
 	consumed bool
-	// off is the count of bytes consumed from the start of the stream,
-	// including the 8-byte header. Truncation errors report it so a cut
-	// stream (lost connection, partial upload) is diagnosable to the byte.
-	off int64
 }
 
 // NewStreamReader validates the v2 header of r and returns a reader for the
-// stream. Use Open to auto-detect the format version instead.
+// stream. Anything else, a v1 trace included, is refused with an error.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := readMagicVersion(br)
-	if err != nil {
+	s := &StreamReader{frameWalker: newFrameWalker(bufio.NewReaderSize(r, 1<<16))}
+	if err := s.header(); err != nil {
 		return nil, err
 	}
-	if v != version2 {
-		return nil, fmt.Errorf("trace: not a v2 stream (version %d)", v)
-	}
-	return newStreamReader(br), nil
-}
-
-func newStreamReader(br *bufio.Reader) *StreamReader {
-	return &StreamReader{br: br, origins: []string{"?"}, off: headerSize}
-}
-
-// readFull fills p from the stream, advancing the consumed-byte offset by
-// however much actually arrived. On a short read the error names what was
-// being read and the exact byte offset where the stream ended.
-func (s *StreamReader) readFull(p []byte, what string) error {
-	n, err := io.ReadFull(s.br, p)
-	s.off += int64(n)
-	if err == nil {
-		return nil
-	}
-	return s.readErr(what, err)
-}
-
-// readErr reports a failed read of what at the current offset. Callers
-// whose label needs formatting build it only on this error path.
-func (s *StreamReader) readErr(what string, err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("trace: %s truncated at byte offset %d: %w", what, s.off, io.ErrUnexpectedEOF)
-	}
-	return fmt.Errorf("trace: reading %s at byte offset %d: %w", what, s.off, err)
+	return s, nil
 }
 
 // ForEach decodes the stream, calling fn for every record in order. It
@@ -308,126 +272,4 @@ func (s *StreamReader) ForEach(fn func(Record)) error {
 		}
 		return nil
 	})
-}
-
-// walkFrames reads the stream's frames in order. Origin frames extend
-// s.origins in place; each record frame's payload is fetched via getBuf
-// (which returns a buffer of at least need bytes, owned by the caller of
-// walkFrames) and handed to emit together with its record count; the
-// counters footer ends the walk. emit errors abort the walk unchanged.
-func (s *StreamReader) walkFrames(getBuf func(need int) []byte, emit func(raw []byte, count int) error) error {
-	var buf [8]byte
-	var name []byte // origin-name scratch, reused across origins
-	le := binary.LittleEndian
-	for {
-		kind, err := s.br.ReadByte()
-		if err == io.EOF {
-			return fmt.Errorf("trace: stream truncated at byte offset %d: missing counters footer", s.off)
-		}
-		if err != nil {
-			return fmt.Errorf("trace: reading frame at byte offset %d: %w", s.off, err)
-		}
-		s.off++
-		switch kind {
-		case frameOrigins:
-			if err := s.readFull(buf[:4], "origin frame header"); err != nil {
-				return err
-			}
-			count := le.Uint32(buf[:4])
-			if uint64(len(s.origins))+uint64(count) > maxReasonable {
-				return fmt.Errorf("trace: implausible origin table (%d entries)", uint64(len(s.origins))+uint64(count))
-			}
-			for i := uint32(0); i < count; i++ {
-				if err := s.readFull(buf[:4], "origin length"); err != nil {
-					return err
-				}
-				n := le.Uint32(buf[:4])
-				if n > 1<<16 {
-					return fmt.Errorf("trace: origin %d implausibly long (%d)", len(s.origins), n)
-				}
-				if uint32(cap(name)) < n {
-					name = make([]byte, n)
-				}
-				name = name[:n]
-				got, err := io.ReadFull(s.br, name)
-				s.off += int64(got)
-				if err != nil {
-					return s.readErr(fmt.Sprintf("origin %d", len(s.origins)), err)
-				}
-				s.origins = append(s.origins, string(name))
-			}
-		case frameRecords:
-			if err := s.readFull(buf[:4], "record chunk header"); err != nil {
-				return err
-			}
-			count := le.Uint32(buf[:4])
-			if count > maxChunkRecords {
-				// Tighter than maxReasonable: the chunk is materialized, so
-				// the bound also caps what a corrupt count can allocate.
-				return fmt.Errorf("trace: implausible record chunk (%d records)", count)
-			}
-			raw := getBuf(int(count) * RecordSize)[:int(count)*RecordSize]
-			if err := s.readFull(raw, "record chunk"); err != nil {
-				return err
-			}
-			if err := emit(raw, int(count)); err != nil {
-				return err
-			}
-		case frameCounters:
-			var foot [countersSize]byte
-			if err := s.readFull(foot[:], "counters footer"); err != nil {
-				return err
-			}
-			for i := range s.counters.ByOp {
-				s.counters.ByOp[i] = le.Uint64(foot[i*8:])
-			}
-			s.counters.Total = le.Uint64(foot[nOps*8:])
-			s.counters.Dropped = le.Uint64(foot[(nOps+1)*8:])
-			s.counters.Unknown = le.Uint64(foot[(nOps+2)*8:])
-			s.footer = true
-			if _, err := s.br.ReadByte(); err == nil {
-				return fmt.Errorf("trace: trailing garbage after counters footer at byte offset %d", s.off)
-			} else if err != io.EOF {
-				return fmt.Errorf("trace: reading stream end at byte offset %d: %w", s.off, err)
-			}
-			return nil
-		default:
-			return fmt.Errorf("trace: unknown frame type %q", kind)
-		}
-	}
-}
-
-// OriginName resolves an origin ID against the string table read so far;
-// unknown IDs resolve to "?". During ForEach the table is complete for
-// every record already delivered.
-func (s *StreamReader) OriginName(id uint32) string {
-	if int(id) < len(s.origins) {
-		return s.origins[id]
-	}
-	return s.origins[0]
-}
-
-// Counters returns the footer tallies; ok is false until ForEach has
-// consumed the stream through the footer.
-func (s *StreamReader) Counters() (c Counters, ok bool) {
-	return s.counters, s.footer
-}
-
-// Open auto-detects the trace format version of r and returns a Source:
-// a fully decoded Buffer for v1 files, a constant-memory StreamReader for
-// v2 streams.
-func Open(r io.Reader) (Source, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := readMagicVersion(br)
-	if err != nil {
-		return nil, err
-	}
-	switch v {
-	case version:
-		return decodeV1(br)
-	case version2:
-		return newStreamReader(br), nil
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
 }

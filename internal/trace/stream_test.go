@@ -95,39 +95,6 @@ func TestStreamWriterOriginIDsMatchBuffer(t *testing.T) {
 	}
 }
 
-func TestOpenAutoDetectsBothVersions(t *testing.T) {
-	// v1: a fully decoded Buffer.
-	v1 := buildEncoded(t, 5)
-	src, err := Open(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(*Buffer); !ok {
-		t.Fatalf("v1 Open returned %T, want *Buffer", src)
-	}
-	n := 0
-	if err := src.ForEach(func(Record) { n++ }); err != nil || n != 5 {
-		t.Fatalf("v1 replay: %d records, err %v", n, err)
-	}
-
-	// v2: a streaming reader.
-	src, err = Open(bytes.NewReader(buildV2(t, 50, 8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(*StreamReader); !ok {
-		t.Fatalf("v2 Open returned %T, want *StreamReader", src)
-	}
-	n = 0
-	if err := src.ForEach(func(Record) { n++ }); err != nil || n != 50 {
-		t.Fatalf("v2 replay: %d records, err %v", n, err)
-	}
-
-	if _, err := Open(bytes.NewReader([]byte("XXXX\x02\x00\x00\x00"))); err == nil {
-		t.Fatal("Open accepted a bad magic")
-	}
-}
-
 func TestStreamReaderTruncatedAtEveryBoundary(t *testing.T) {
 	full := buildV2(t, 40, 8)
 	for cut := 0; cut < len(full); cut++ {
@@ -267,9 +234,15 @@ func TestStreamReaderSingleUse(t *testing.T) {
 	}
 }
 
+// TestNewStreamReaderRejectsV1 feeds the header of the retired v1 format
+// (magic, version 1, u64 record count, u32 origin count): it must be
+// refused with an error naming the version, never decoded or panicked on.
 func TestNewStreamReaderRejectsV1(t *testing.T) {
-	_, err := NewStreamReader(bytes.NewReader(buildEncoded(t, 1)))
-	if err == nil || !strings.Contains(err.Error(), "not a v2 stream") {
+	v1 := []byte("TSTR\x01\x00\x00\x00")
+	v1 = binary.LittleEndian.AppendUint64(v1, 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	_, err := NewStreamReader(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "not a v2 stream (version 1)") {
 		t.Fatalf("err = %v, want not-a-v2-stream error", err)
 	}
 }

@@ -8,38 +8,60 @@ import (
 	"testing"
 )
 
-// frameBoundaries scans an encoded v2 stream and returns the byte offset of
-// every frame start, plus the end-of-stream offset. It is a test-local
-// re-derivation of the framing so the reader under test cannot mask its own
-// bugs.
-func frameBoundaries(tb testing.TB, full []byte) []int {
-	tb.Helper()
+// scanFrames returns the byte offset of every frame boundary in a v2
+// stream: the end of the header, then the end of each complete frame. It
+// stops at the first frame it cannot complete or does not know, so any
+// input yields the boundaries of its well-formed prefix. It is a test-local
+// re-derivation of the framing so the decoders under test cannot mask their
+// own bugs.
+func scanFrames(data []byte) []int {
 	le := binary.LittleEndian
+	if len(data) < headerSize {
+		return nil
+	}
 	pos := headerSize
 	bounds := []int{pos}
-	for pos < len(full) {
-		kind := full[pos]
-		pos++
-		switch kind {
+	for pos < len(data) {
+		end := pos + 1
+		switch data[pos] {
 		case frameOrigins:
-			count := int(le.Uint32(full[pos:]))
-			pos += 4
+			if end+4 > len(data) {
+				return bounds
+			}
+			count := int(le.Uint32(data[end:]))
+			end += 4
 			for i := 0; i < count; i++ {
-				n := int(le.Uint32(full[pos:]))
-				pos += 4 + n
+				if end+4 > len(data) {
+					return bounds
+				}
+				end += 4 + int(le.Uint32(data[end:]))
 			}
 		case frameRecords:
-			count := int(le.Uint32(full[pos:]))
-			pos += 4 + count*RecordSize
+			if end+4 > len(data) {
+				return bounds
+			}
+			end += 4 + int(le.Uint32(data[end:]))*RecordSize
 		case frameCounters:
-			pos += countersSize
+			end += countersSize
 		default:
-			tb.Fatalf("unknown frame %q at offset %d", kind, pos-1)
+			return bounds
 		}
+		if end > len(data) {
+			return bounds
+		}
+		pos = end
 		bounds = append(bounds, pos)
 	}
-	if pos != len(full) {
-		tb.Fatalf("frame scan overran: pos %d, stream %d bytes", pos, len(full))
+	return bounds
+}
+
+// frameBoundaries is scanFrames for a well-formed fixture: the boundaries
+// must reach the end of the stream.
+func frameBoundaries(tb testing.TB, full []byte) []int {
+	tb.Helper()
+	bounds := scanFrames(full)
+	if len(bounds) == 0 || bounds[len(bounds)-1] != len(full) {
+		tb.Fatalf("frame scan stopped short: boundaries %v, stream %d bytes", bounds, len(full))
 	}
 	return bounds
 }

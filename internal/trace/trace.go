@@ -72,8 +72,8 @@ const (
 	FlagSatisfied
 )
 
-// Record is one traced operation. The binary layout (Encode/Decode) is
-// RecordSize (40) bytes, little-endian.
+// Record is one traced operation. Its binary layout in a stream's record
+// frames (putRecord/getRecord) is RecordSize (40) bytes, little-endian.
 type Record struct {
 	T       sim.Time // virtual timestamp
 	TimerID uint64   // timer structure identity ("address")

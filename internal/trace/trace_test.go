@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -88,47 +87,38 @@ func TestReset(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := NewBuffer(100)
-	o1 := b.Origin("kernel/arp")
-	o2 := b.Origin("apache/event-loop")
+	origins := []string{"kernel/arp", "apache/event-loop"}
 	recs := []Record{
-		{T: 1, TimerID: 0xdeadbeef, Timeout: int64(5 * sim.Second), PID: 0, Origin: o1, Op: OpSet, Flags: FlagDeferrable},
+		{T: 1, TimerID: 0xdeadbeef, Timeout: int64(5 * sim.Second), PID: 0, Origin: 1, Op: OpSet, Flags: FlagDeferrable},
 		{T: 2, TimerID: 0xdeadbeef, Op: OpCancel},
-		{T: 3, TimerID: 42, Timeout: int64(sim.Second), PID: 1234, Origin: o2, Op: OpWait, Flags: FlagUser},
+		{T: 3, TimerID: 42, Timeout: int64(sim.Second), PID: 1234, Origin: 2, Op: OpWait, Flags: FlagUser},
 		{T: int64e9(4), TimerID: 42, Op: OpExpire, Flags: FlagUser},
-		{T: 5, TimerID: 7, Timeout: -12, PID: -1, Origin: o2, Op: OpInit},
+		{T: 5, TimerID: 7, Timeout: -12, PID: -1, Origin: 2, Op: OpInit},
 	}
-	for _, r := range recs {
-		b.Log(r)
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := decodeAll(t, encodeV2(t, 2, origins, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != len(recs) {
-		t.Fatalf("decoded %d records, want %d", got.Len(), len(recs))
+	if len(got.recs) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got.recs), len(recs))
 	}
-	for i, r := range got.Records() {
+	for i, r := range got.recs {
 		if r != recs[i] {
 			t.Fatalf("record %d: got %+v, want %+v", i, r, recs[i])
 		}
 	}
-	if got.OriginName(o1) != "kernel/arp" || got.OriginName(o2) != "apache/event-loop" {
-		t.Fatal("origins did not survive round trip")
+	if got.names[0] != "kernel/arp" || got.names[2] != "apache/event-loop" {
+		t.Fatalf("origins did not survive round trip: %q", got.names)
 	}
 }
 
 func int64e9(s int64) sim.Time { return sim.Time(s * int64(sim.Second)) }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a trace file at all....."))); err == nil {
+	if _, err := decodeAll(t, []byte("not a trace file at all.....")); err == nil {
 		t.Fatal("decoded garbage")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, err := decodeAll(t, nil); err == nil {
 		t.Fatal("decoded empty input")
 	}
 }

@@ -321,18 +321,37 @@ func TestRunDispatchers(t *testing.T) {
 	RunLinux("nope", cfg)
 }
 
+// TestTraceEncodesAndDecodes tees a workload's records into a Buffer and a
+// v2 StreamWriter and requires the decoded stream to match the buffer
+// record for record, origin name for origin name.
 func TestTraceEncodesAndDecodes(t *testing.T) {
-	res := LinuxIdle(Config{Seed: 1, Duration: 10 * sim.Second})
-	var buf bytes.Buffer
-	if err := res.Trace.Encode(&buf); err != nil {
+	b := trace.NewBuffer(trace.DefaultCapacity)
+	var enc bytes.Buffer
+	sw := trace.NewStreamWriter(&enc)
+	LinuxIdle(Config{Seed: 1, Duration: 10 * sim.Second, Sink: trace.Tee(b, sw)})
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.Decode(&buf)
+	sr, err := trace.NewStreamReader(&enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != res.Trace.Len() {
-		t.Fatalf("len %d != %d", got.Len(), res.Trace.Len())
+	want := b.Records()
+	i := 0
+	err = sr.ForEach(func(r trace.Record) {
+		if i >= len(want) || r != want[i] {
+			t.Fatalf("record %d: %+v differs from the buffer's", i, r)
+		}
+		if got, w := sr.OriginName(r.Origin), b.OriginName(r.Origin); got != w {
+			t.Fatalf("record %d origin %q, want %q", i, got, w)
+		}
+		i++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) || len(want) == 0 {
+		t.Fatalf("decoded %d records, buffer holds %d", i, len(want))
 	}
 }
 

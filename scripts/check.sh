@@ -45,7 +45,7 @@ echo "== serial-vs-parallel analysis determinism golden test =="
 # after every chunk while per-timer runs are still pending, must equal one
 # Run over the concatenated streams, and must count the timer IDs that
 # streams share.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestParallelForEachMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions' \
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -63,17 +63,22 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # one's chunk buffers and arena blocks, a warm netsim Send plus delivery
 # allocates nothing, and a warm Linux connect/send/close cycle stays within
 # its stated bound. The analysis per-timer state (pending runs and cached
-# origin row included) stays within its 280-byte size pin.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
+# origin row included) stays within its 280-byte size pin. The serve ingest
+# decode (a warm FrameDecoder fed a batch of record frames) allocates
+# nothing.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
 (cd _perfbench && go test .)
 
-echo "== codec fuzz smoke (10s per format) =="
-go test -run '^$' -fuzz 'FuzzDecode$' -fuzztime=10s ./internal/trace
+echo "== codec and ingest fuzz smoke (10s per fuzzer) =="
+# FuzzDecodeV2 is differential: StreamReader and FrameDecoder, whole and
+# frame by frame, must agree. FuzzIngest drives the serve ingest handler
+# with reordered, duplicate and skipped batches.
 go test -run '^$' -fuzz 'FuzzDecodeV2$' -fuzztime=10s ./internal/trace
+go test -run '^$' -fuzz 'FuzzIngest$' -fuzztime=10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzReadCheckpoint' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
 
@@ -217,7 +222,7 @@ if [[ -z "${serve_url:-}" ]]; then
 	cat "$gate_dir/serve.log" >&2
 	exit 1
 fi
-"$gate_dir/timertrace" -os linux -workload firefox -duration 2m -stream \
+"$gate_dir/timertrace" -os linux -workload firefox -duration 2m \
 	-o "$gate_dir/gate.trace" -emit "$serve_url" > /dev/null
 curl -sf "$serve_url/api/summary" > "$gate_dir/served.json"
 "$gate_dir/timerstat" -json -summary "$gate_dir/gate.trace" > "$gate_dir/offline.json"
