@@ -91,6 +91,10 @@ func (a *originAcc) observeTimer(origin string, class Class) {
 	a.stats(origin).observeTimer(class)
 }
 
+// empty reports a row with no sets and no timers: new from stats, or
+// zeroed by a shard reset.
+func (s *originStats) empty() bool { return s.sets == 0 && s.timers == 0 }
+
 // observeTimer counts one timer of the row with its class; the streaming
 // pipeline calls it at end of trace, for timers with at least one use.
 func (s *originStats) observeTimer(class Class) {
@@ -100,9 +104,13 @@ func (s *originStats) observeTimer(class Class) {
 
 // merge folds another accumulator into a. Same-named origins from different
 // shards combine by plain addition of their value histograms and tallies,
-// so shard merge order cannot influence the finished rows.
+// so shard merge order cannot influence the finished rows. Empty rows are
+// skipped.
 func (a *originAcc) merge(o *originAcc) {
 	for origin, os := range o.byOrigin {
+		if os.empty() {
+			continue
+		}
 		s := a.stats(origin)
 		s.sets += os.sets
 		s.timers += os.timers
@@ -115,29 +123,51 @@ func (a *originAcc) merge(o *originAcc) {
 	}
 }
 
-func (a *originAcc) finish() []OriginRow {
+// finish returns the Table 3 rows of a, each summed with ov's row of the
+// same origin when ov is non-nil. Neither accumulator is written.
+func (a *originAcc) finish(ov *originAcc) []OriginRow {
+	var ovRows map[string]*originStats
+	if ov != nil {
+		ovRows = ov.byOrigin
+	}
 	rows := make([]OriginRow, 0, len(a.byOrigin))
-	for origin, s := range a.byOrigin {
-		if s.sets < a.minSets {
-			continue
+	add := func(origin string, s, o *originStats) {
+		sets, timers, classes := s.sets, s.timers, s.class
+		var ovValues map[sim.Duration]int
+		if o != nil {
+			sets, timers, ovValues = sets+o.sets, timers+o.timers, o.values
+			for c := range classes {
+				classes[c] += o.class[c]
+			}
+		}
+		if sets < a.minSets {
+			return
 		}
 		var modal sim.Duration
 		best := -1
-		for v, c := range s.values {
+		sumCounts(s.values, ovValues, func(v sim.Duration, c int) {
 			if c > best || (c == best && v < modal) {
 				modal, best = v, c
 			}
-		}
+		})
 		classBest, class := -1, ClassOther
-		for c := range s.class {
-			if s.class[c] > classBest {
-				classBest, class = s.class[c], Class(c)
+		for c := range classes {
+			if classes[c] > classBest {
+				classBest, class = classes[c], Class(c)
 			}
 		}
 		rows = append(rows, OriginRow{
 			Value: modal, Origin: origin, Class: class,
-			Sets: s.sets, Timers: s.timers,
+			Sets: sets, Timers: timers,
 		})
+	}
+	for origin, s := range a.byOrigin {
+		add(origin, s, ovRows[origin])
+	}
+	for origin, o := range ovRows {
+		if _, ok := a.byOrigin[origin]; !ok {
+			add(origin, o, nil)
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Value != rows[j].Value {
@@ -157,5 +187,5 @@ func OriginTable(ls []*TimerLife, minSets int) []OriginRow {
 	for _, tl := range ls {
 		a.observe(tl, Classify(tl))
 	}
-	return a.finish()
+	return a.finish(nil)
 }

@@ -141,7 +141,10 @@ func (p Pipeline) RunParallel(src trace.Source, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := p.report(shards, tracker.max)
+	for _, s := range shards[1:] {
+		shards[0].merge(s)
+	}
+	rep := p.report(shards[0], nil, tracker.max)
 	for _, s := range shards {
 		s.releaseArena()
 	}

@@ -224,13 +224,34 @@ func TestShardRecordZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
 	}
+	p, origins, recs := steadyRecords()
+	sh := p.newShard()
+	// Warm-up: arena blocks, byID, cluster set and histogram bins all exist
+	// after one pass; the steady state must then be allocation-free.
+	for _, r := range recs {
+		sh.record(r, origins, nil)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for _, r := range recs {
+			sh.record(r, origins, nil)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("shard.record allocated %.2f per replay in steady state, want 0", avg)
+	}
+}
+
+// steadyRecords is a replayable record mix for the allocation guards: 32
+// timers over two origins and three PIDs, user and kernel, armed with
+// three timeouts and ended by expiry or cancelation, with the pipeline
+// that folds it.
+func steadyRecords() (Pipeline, []string, []trace.Record) {
 	sOpts := DefaultScatterOptions()
 	p := Pipeline{
 		Values:        ValueOptions{JiffyBinKernel: true, MinSharePercent: 2},
 		Scatter:       &sOpts,
 		OriginMinSets: 1,
 	}
-	sh := p.newShard()
 	origins := []string{"?", "kernel/writeback", "app/select"}
 	recs := make([]trace.Record, 0, 1024)
 	t0 := sim.Time(0)
@@ -254,19 +275,7 @@ func TestShardRecordZeroAlloc(t *testing.T) {
 			T: t0, Op: endOp, TimerID: id, Origin: uint32(1 + i%2), PID: int32(i % 3), Flags: flags,
 		})
 	}
-	// Warm-up: arena blocks, byID, cluster set and histogram bins all exist
-	// after one pass; the steady state must then be allocation-free.
-	for _, r := range recs {
-		sh.record(r, origins, nil)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		for _, r := range recs {
-			sh.record(r, origins, nil)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("shard.record allocated %.2f per replay in steady state, want 0", avg)
-	}
+	return p, origins, recs
 }
 
 // TestShardFoldZeroAlloc is the AllocsPerRun==0 guard on the end-of-trace

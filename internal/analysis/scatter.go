@@ -112,9 +112,12 @@ func (a *scatterAcc) addUse(u Use) {
 
 // merge folds another accumulator over the same options into a; bins add
 // commutatively, and equal keys carry equal representatives, so shard merge
-// order cannot influence the result.
+// order cannot influence the result. Bins a reset zeroed are skipped.
 func (a *scatterAcc) merge(o *scatterAcc) {
 	for k, op := range o.agg {
+		if op.Count == 0 {
+			continue
+		}
 		p, ok := a.agg[k]
 		if !ok {
 			cp := *op

@@ -103,6 +103,7 @@ func stepChecked(t *testing.T, f *Fleet, end sim.Time, workers int, steer func(*
 	checkBarrier(t, f, "session start")
 	truth := make([]sim.Time, len(f.hosts))
 	var advanced uint64
+	floor := s.Floor()
 	for {
 		if steer != nil {
 			steer(f, s)
@@ -126,6 +127,10 @@ func stepChecked(t *testing.T, f *Fleet, end sim.Time, workers int, steer func(*
 			advanced += uint64(len(f.act))
 		}
 		checkBarrier(t, f, fmt.Sprintf("after window %d", s.Windows()))
+		if s.Floor() < floor {
+			t.Fatalf("window %d moved the floor back from %d to %d", s.Windows(), floor, s.Floor())
+		}
+		floor = s.Floor()
 		if !more {
 			break
 		}

@@ -105,13 +105,18 @@ func (s *Session) Step() bool {
 		s.start = s.end + 1
 		s.done = true
 	case s.lookahead == 0:
-		// Degenerate lock-step: one global timestamp per round.
+		// Degenerate lock-step: one global timestamp per round. An event
+		// indexed before the floor fires late, in the floor's round, so
+		// the floor never moves back.
 		host, t, ok := f.minNextAt()
+		if ok {
+			s.checkFloor(host, t, s.start, "the lock-step floor")
+			t = max(t, s.start)
+		}
 		if !ok || t > s.end {
 			s.done = true
 			break
 		}
-		s.checkFloor(host, t, s.start, "the lock-step floor")
 		s.advance(t + 1)
 		f.route()
 		s.start = t + 1
@@ -147,10 +152,12 @@ func (s *Session) Step() bool {
 
 // checkFloor panics when the next-event index puts host's next event at t,
 // before floor, and the host's engine does not confirm it: the entry is
-// stale (a missed refresh), and stepping to it would move the window floor
-// back and step the same empty window forever. An entry before the floor
-// that the engine confirms is real: a restarted host's frozen backlog
-// keeps its old stamps and fires late in the host's next window.
+// stale (a missed refresh), and stepping to it would step the same empty
+// window forever. An entry before the floor that the engine confirms is
+// real, and its event fires late, in the window at the floor: a restarted
+// host's frozen backlog keeps its pre-kill stamps, and a directive applied
+// at a barrier schedules from the host's own clock, which lags the floor
+// on a host that sat windows out.
 func (s *Session) checkFloor(host int, t, floor sim.Time, what string) {
 	if t >= floor {
 		return

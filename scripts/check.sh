@@ -40,12 +40,16 @@ echo "== serial-vs-parallel analysis determinism golden test =="
 # Pipeline.RunParallel must produce byte-identical reports to Pipeline.Run
 # at every worker count, over buffers and v2 streams, including chunk sizes
 # that straddle origin frames and timer lifecycles, and on a trace of long
-# same-value runs; MergePartials over live Partials, fed in random
+# same-value runs; one incremental Merger over live Partials, fed in random
 # interleavings, concurrently with merges, or chunk by chunk with a merge
 # after every chunk while per-timer runs are still pending, must equal one
-# Run over the concatenated streams, and must count the timer IDs that
-# streams share.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions' \
+# Run over the concatenated streams at every merge, and must count the
+# timer IDs that streams share. A merge with nothing new fed must repeat
+# its bytes and leave the Merger's base as it was, a trailing use that
+# resolves under another bin must leave no zero-count key, a Partial must
+# refuse a second Merger, and the quickselect median behind classification
+# must match the sort it replaced.
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions|TestMergerRemergeIsStable|TestMergerTrailingUseLeavesNoZeroKey|TestMergerOwnsItsPartials|TestWeightedMedianMatchesSort' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -65,20 +69,25 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # its stated bound. The analysis per-timer state (pending runs and cached
 # origin row included) stays within its 280-byte size pin. The serve ingest
 # decode (a warm FrameDecoder fed a batch of record frames) allocates
-# nothing.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
+# nothing, and neither does a warm Partial's AddChunk right after a Merger
+# drained it.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
 (cd _perfbench && go test .)
 
-echo "== codec and ingest fuzz smoke (10s per fuzzer) =="
+echo "== codec, ingest and merge fuzz smoke (10s per fuzzer) =="
 # FuzzDecodeV2 is differential: StreamReader and FrameDecoder, whole and
 # frame by frame, must agree. FuzzIngest drives the serve ingest handler
-# with reordered, duplicate and skipped batches.
+# with reordered, duplicate and skipped batches. FuzzMergerViews is
+# differential too: three streams fed in fuzz-chosen chunks to one Merger
+# merging at fuzz-chosen points must equal Run over the fed prefixes at
+# every view.
 go test -run '^$' -fuzz 'FuzzDecodeV2$' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzIngest$' -fuzztime=10s ./internal/serve
+go test -run '^$' -fuzz 'FuzzMergerViews$' -fuzztime=10s ./internal/analysis
 go test -run '^$' -fuzz 'FuzzReadCheckpoint' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
 
