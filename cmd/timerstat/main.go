@@ -24,6 +24,8 @@
 // (trace.HTTPSink) with a JSON API and embedded dashboard. The analysis
 // flags configure the service's pipeline, so a quiesced server's
 // /api/summary matches `timerstat -json -summary` over the same streams.
+// -serve refuses -series and -scatter: no endpoint serves either, and a
+// series would grow with every record ingested.
 //
 // Usage:
 //
@@ -105,6 +107,10 @@ func run() int {
 	}
 
 	if *serveAddr != "" {
+		if err := checkServeFlags(*scatter, *series); err != nil {
+			fmt.Fprintf(os.Stderr, "timerstat: %v\n", err)
+			return 2
+		}
 		return runServe(*serveAddr, p)
 	}
 	if flag.NArg() < 1 {
@@ -180,6 +186,26 @@ func run() int {
 		fmt.Print(analysis.RenderRelations(analysis.InferRelations(ls, analysis.InferOptions{})))
 	}
 	return 0
+}
+
+// checkServeFlags rejects the analysis flags -serve cannot honour. No
+// serve endpoint renders the Figure 4 series or the Figures 8-11 scatter,
+// yet the pipeline would fold them into every Partial and the Merger's
+// base, and the series keeps every arming of its process: memory that
+// grows with the records ingested, against the service's bounded-memory
+// rule.
+func checkServeFlags(scatter bool, series string) error {
+	var bad []string
+	if scatter {
+		bad = append(bad, "-scatter")
+	}
+	if series != "" {
+		bad = append(bad, "-series")
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("-serve does not take %s: no endpoint serves the scatter or the set series", strings.Join(bad, " or "))
+	}
+	return nil
 }
 
 // analyze runs the pipeline over the given trace files: one file goes

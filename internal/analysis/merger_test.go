@@ -24,29 +24,35 @@ type shardSnapshot struct {
 	Shares   ClassShares
 	Clusters map[cluster]bool
 	Pts      []SeriesPoint
-	Values   []map[valueKey]int
+	Values   []map[int64]int
 	Totals   []int
 	Scatter  map[scatterKey]ScatterPoint
-	Origins  map[string]originStats
+	Origins  map[string]originSnapshot
+}
+
+// originSnapshot is a deep copy of one originStats.
+type originSnapshot struct {
+	Values       map[int64]int
+	Class        [nClasses]int
+	Sets, Timers int
 }
 
 func snapshotShard(s *shard) shardSnapshot {
 	snap := shardSnapshot{
 		Sum: s.sum, End: s.end, Shares: s.shares,
 		Clusters: maps.Clone(s.clusters), Pts: slices.Clone(s.pts),
-		Scatter: map[scatterKey]ScatterPoint{}, Origins: map[string]originStats{},
+		Scatter: map[scatterKey]ScatterPoint{}, Origins: map[string]originSnapshot{},
 	}
 	for _, a := range s.vaccs {
-		snap.Values = append(snap.Values, maps.Clone(a.counts))
+		snap.Values = append(snap.Values, a.counts.toMap())
 		snap.Totals = append(snap.Totals, a.total)
 	}
 	for k, p := range s.scatter.agg {
 		snap.Scatter[k] = *p
 	}
 	for name, st := range s.origins.byOrigin {
-		cp := *st
-		cp.values = maps.Clone(st.values)
-		snap.Origins[name] = cp
+		snap.Origins[name] = originSnapshot{Values: st.values.toMap(),
+			Class: st.class, Sets: st.sets, Timers: st.timers}
 	}
 	return snap
 }
@@ -132,16 +138,16 @@ func TestMergerTrailingUseLeavesNoZeroKey(t *testing.T) {
 	}
 	for _, sh := range []*shard{m.base, pa.sh} {
 		for _, a := range sh.vaccs {
-			for k, c := range a.counts {
-				if c == 0 {
-					t.Errorf("value key %+v holds a zero count", k)
+			for _, e := range a.counts.entries {
+				if e.n == 0 {
+					t.Errorf("value key %d holds a zero count", e.key)
 				}
 			}
 		}
 		for name, st := range sh.origins.byOrigin {
-			for v, c := range st.values {
-				if c == 0 {
-					t.Errorf("origin %q value %v holds a zero count", name, v)
+			for _, e := range st.values.entries {
+				if e.n == 0 {
+					t.Errorf("origin %q value %v holds a zero count", name, sim.Duration(e.key))
 				}
 			}
 		}

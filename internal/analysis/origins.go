@@ -32,7 +32,8 @@ type originAcc struct {
 }
 
 type originStats struct {
-	values map[sim.Duration]int
+	// values counts the row's binned armings by value.
+	values countTable
 	class  [nClasses]int
 	sets   int
 	timers int
@@ -59,7 +60,7 @@ func (a *originAcc) observe(tl *TimerLife, class Class) {
 func (a *originAcc) stats(origin string) *originStats {
 	s, ok := a.byOrigin[origin]
 	if !ok {
-		s = &originStats{values: map[sim.Duration]int{}}
+		s = &originStats{}
 		a.byOrigin[origin] = s
 	}
 	return s
@@ -69,7 +70,7 @@ func (a *originAcc) stats(origin string) *originStats {
 func (a *originAcc) observeUse(origin string, user bool, v sim.Duration) {
 	s := a.stats(origin)
 	b, _ := a.vo.binAttrs(user, v)
-	s.values[b]++
+	s.values.add(int64(b), 1)
 	s.sets++
 }
 
@@ -82,7 +83,7 @@ func (a *originAcc) flushRun(s *originStats, r valueRun) {
 		return
 	}
 	b, _ := a.vo.binAttrs(r.user, r.v)
-	s.values[b] += int(r.n)
+	s.values.add(int64(b), int(r.n))
 	s.sets += int(r.n)
 }
 
@@ -117,9 +118,7 @@ func (a *originAcc) merge(o *originAcc) {
 		for c := range os.class {
 			s.class[c] += os.class[c]
 		}
-		for v, n := range os.values {
-			s.values[v] += n
-		}
+		s.values.addAll(&os.values)
 	}
 }
 
@@ -133,9 +132,9 @@ func (a *originAcc) finish(ov *originAcc) []OriginRow {
 	rows := make([]OriginRow, 0, len(a.byOrigin))
 	add := func(origin string, s, o *originStats) {
 		sets, timers, classes := s.sets, s.timers, s.class
-		var ovValues map[sim.Duration]int
+		var ovValues *countTable
 		if o != nil {
-			sets, timers, ovValues = sets+o.sets, timers+o.timers, o.values
+			sets, timers, ovValues = sets+o.sets, timers+o.timers, &o.values
 			for c := range classes {
 				classes[c] += o.class[c]
 			}
@@ -145,8 +144,8 @@ func (a *originAcc) finish(ov *originAcc) []OriginRow {
 		}
 		var modal sim.Duration
 		best := -1
-		sumCounts(s.values, ovValues, func(v sim.Duration, c int) {
-			if c > best || (c == best && v < modal) {
+		s.values.sum(ovValues, func(k int64, c int) {
+			if v := sim.Duration(k); c > best || (c == best && v < modal) {
 				modal, best = v, c
 			}
 		})

@@ -217,8 +217,8 @@ func TestPartialStreamsReachWideTimers(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream %d: no countdown timer", s)
 		}
-		if cd := pa.sh.timer(idx); int(cd.ntv)+len(cd.tvMore) < 1000 {
-			t.Errorf("stream %d: countdown timer has %d distinct values, want ≥ 1000", s, int(cd.ntv)+len(cd.tvMore))
+		if cd := pa.sh.timer(idx); int(cd.ntv)+cd.tvMore.len() < 1000 {
+			t.Errorf("stream %d: countdown timer has %d distinct values, want ≥ 1000", s, int(cd.ntv)+cd.tvMore.len())
 		}
 		var pids []int32
 		for _, r := range recs {

@@ -87,12 +87,12 @@ type tvalSlot struct {
 }
 
 // inlineTvals is the number of distinct timeout values a timer tracks
-// without spilling to a map. Measured per timer on the paper's workloads:
-// every Vista timer uses at most 3 distinct values except on the desktop
-// trace (up to 578), while a Linux select-countdown timer re-armed with its
-// remaining time reaches 15,080 (seed 1, 300 s). Four inline slots cover
-// the common case; the spill map and constantValue's O(k) weighted
-// selection cover the countdowns.
+// without spilling to a countTable. Measured per timer on the paper's
+// workloads: every Vista timer uses at most 3 distinct values except on
+// the desktop trace (up to 578), while a Linux select-countdown timer
+// re-armed with its remaining time reaches 15,080 (seed 1, 300 s). Four
+// inline slots cover the common case; the spill table and constantValue's
+// O(k) weighted selection cover the countdowns.
 const inlineTvals = 4
 
 // streamTimer is the bounded per-timer state the streaming pass keeps in
@@ -139,7 +139,8 @@ type streamTimer struct {
 	// small, so classify and constantValue widen them to int before any
 	// arithmetic; one timer identity would need 2^31 closed uses to
 	// overflow them. Timeout values count into inline slots, spilling to
-	// tvMore only past inlineTvals distinct values.
+	// tvMore, allocated at the first spill, only past inlineTvals distinct
+	// values.
 	closed       int32
 	expired      int32
 	canceled     int32
@@ -147,10 +148,10 @@ type streamTimer struct {
 	earlyCancels int32
 	immediate    int32
 	tv           [inlineTvals]tvalSlot
-	tvMore       map[sim.Duration]int
+	tvMore       *countTable
 
 	// Pending runs of equal histogram samples: vrun[i] feeds the shard's
-	// i-th value accumulator, orun the origin row. A run reaches its map
+	// i-th value accumulator, orun the origin row. A run reaches its table
 	// only when the next sample differs (see valueRun) or at foldFrom.
 	vrun [maxValueAccs]valueRun
 	orun valueRun
@@ -200,9 +201,9 @@ func (t *streamTimer) addTval(v sim.Duration) {
 		return
 	}
 	if t.tvMore == nil {
-		t.tvMore = make(map[sim.Duration]int, 4)
+		t.tvMore = new(countTable)
 	}
-	t.tvMore[v]++
+	t.tvMore.add(int64(v), 1)
 }
 
 // Arena geometry: timers are stored in fixed-size blocks so pointers stay
@@ -374,7 +375,7 @@ func resolveOrigin(origins []string, src trace.Source, id uint32) string {
 // record folds one trace record. origins is the chunk's origin snapshot
 // (src is only consulted when it is nil — the non-chunked fallback).
 //
-//lint:allocfree per-record hot path; timer state comes from the block arena through the ID cache, histogram samples batch in per-timer pending runs, and the maps behind them are warm (TestShardRecordZeroAlloc)
+//lint:allocfree per-record hot path; timer state comes from the block arena through the ID cache, histogram samples batch in per-timer pending runs, and the count tables and maps behind them are warm (TestShardRecordZeroAlloc)
 func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
 	var t *streamTimer
 	if e := &s.idCache[hashTimerID(r.TimerID)>>(64-idCacheBits)]; e.idx != 0 && e.id == r.TimerID {
@@ -557,9 +558,10 @@ func (s *shard) classify(t *streamTimer) Class {
 func (s *shard) constantValue(t *streamTimer) bool {
 	n := int(t.closed)
 	vals := append(s.tvScratch[:0], t.tv[:t.ntv]...)
-	for v, c := range t.tvMore {
-		//lint:ignore mapiter weightedMedian selects by value rank over distinct values and within is an integer sum, so neither depends on the slice's order
-		vals = append(vals, tvalSlot{v: v, n: c})
+	if t.tvMore != nil {
+		for _, e := range t.tvMore.entries {
+			vals = append(vals, tvalSlot{v: sim.Duration(e.key), n: e.n})
+		}
 	}
 	s.tvScratch = vals
 	median := weightedMedian(vals, n)
@@ -713,16 +715,16 @@ func (s *shard) merge(o *shard) {
 // reset zeroes every accumulator merge reads — the summary counters, end,
 // class tallies, clusters, series points, value histograms, scatter bins
 // and origin rows — leaving the timer table and the concurrency tracking
-// as they are. Maps are cleared, not replaced, so they keep their
-// capacity, and scatter bins and origin rows are zeroed in place (timers
-// hold pointers to their rows), so records folded after a reset allocate
-// no more than they did before it.
+// as they are. Maps and count tables are cleared, not replaced, so they
+// keep their capacity, and scatter bins and origin rows are zeroed in
+// place (timers hold pointers to their rows), so records folded after a
+// reset allocate no more than they did before it.
 func (s *shard) reset() {
 	s.sum, s.end, s.shares = Summary{}, 0, ClassShares{}
 	clear(s.clusters)
 	s.pts = s.pts[:0]
 	for _, a := range s.vaccs {
-		clear(a.counts)
+		a.counts.reset()
 		a.total = 0
 	}
 	if s.scatter != nil {
@@ -733,7 +735,7 @@ func (s *shard) reset() {
 	if s.origins != nil {
 		for _, st := range s.origins.byOrigin {
 			if !st.empty() {
-				clear(st.values)
+				st.values.reset()
 				*st = originStats{values: st.values}
 			}
 		}

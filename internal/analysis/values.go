@@ -99,18 +99,40 @@ type chainProvider func() []Chain
 // implementation behind both CommonValues and the pipeline, so the two can
 // never disagree.
 type valueAcc struct {
-	opts   ValueOptions
-	counts map[valueKey]int
+	opts ValueOptions
+	// counts holds each bin's count under its packed valueKey.
+	counts countTable
 	total  int
 }
 
-type valueKey struct {
-	v sim.Duration
-	j uint64
+// maxJiffyBin is the largest jiffy count binAttrs returns: a timeout of
+// math.MaxInt64 ns, rounded up to whole jiffies.
+const maxJiffyBin = math.MaxInt64/int64(jiffies.JiffyDuration) + 1
+
+// valueKey packs a histogram bin into a countTable key: jiffy bin j > 0
+// becomes -j, and any other bin its binned value, which is never negative
+// except for a user value within userBin/2 of math.MaxInt64, whose
+// rounding overflows to a key far below -maxJiffyBin. A kernel value
+// binned to 0 jiffies is the value 0, the same key as a user value of 0,
+// so the two share one bar, as they always have.
+func valueKey(v sim.Duration, j uint64) int64 {
+	if j > 0 {
+		return -int64(j)
+	}
+	return int64(v)
+}
+
+// unpackValueKey inverts valueKey.
+func unpackValueKey(k int64) (sim.Duration, uint64) {
+	if k < 0 && k >= -maxJiffyBin {
+		j := uint64(-k)
+		return sim.Duration(j) * jiffies.JiffyDuration, j
+	}
+	return sim.Duration(k), 0
 }
 
 func newValueAcc(opts ValueOptions) *valueAcc {
-	return &valueAcc{opts: opts, counts: make(map[valueKey]int)}
+	return &valueAcc{opts: opts}
 }
 
 func (a *valueAcc) add(tl *TimerLife, v sim.Duration) {
@@ -119,8 +141,7 @@ func (a *valueAcc) add(tl *TimerLife, v sim.Duration) {
 
 // addAttrs bins and counts one sample given the timer's attributes.
 func (a *valueAcc) addAttrs(user bool, v sim.Duration) {
-	b, j := a.opts.binAttrs(user, v)
-	a.counts[valueKey{b, j}]++
+	a.counts.add(valueKey(a.opts.binAttrs(user, v)), 1)
 	a.total++
 }
 
@@ -128,7 +149,7 @@ func (a *valueAcc) addAttrs(user bool, v sim.Duration) {
 // the raw value, the user flag it bins under, and how many times it
 // repeated. Most samples repeat their timer's previous one (86% on the
 // nine seed-1 evaluation traces), so the streaming fold counts a repeat
-// here and touches the histogram map only when the run breaks. The zero run is empty and also reads as
+// here and touches the histogram table only when the run breaks. The zero run is empty and also reads as
 // (0, kernel) with no samples, so a first sample of 0 extends it.
 type valueRun struct {
 	v    sim.Duration
@@ -165,8 +186,7 @@ func (a *valueAcc) flushRun(r valueRun) {
 	if r.n == 0 {
 		return
 	}
-	b, j := a.opts.binAttrs(r.user, r.v)
-	a.counts[valueKey{b, j}] += int(r.n)
+	a.counts.add(valueKey(a.opts.binAttrs(r.user, r.v)), int(r.n))
 }
 
 // observe folds one timer's uses into the histogram.
@@ -193,12 +213,10 @@ func (a *valueAcc) observe(tl *TimerLife, chains chainProvider) {
 }
 
 // merge folds another accumulator over the same options into a. Histogram
-// addition is commutative, so shard merge order cannot influence the result
-// (the map-range order visibly cannot either: += into a map).
+// addition is commutative, so shard merge order cannot influence the
+// result; only the order of a's entries, which finish sorts away, can.
 func (a *valueAcc) merge(o *valueAcc) {
-	for k, c := range o.counts {
-		a.counts[k] += c
-	}
+	a.counts.addAll(&o.counts)
 	a.total += o.total
 }
 
@@ -207,26 +225,27 @@ func (a *valueAcc) merge(o *valueAcc) {
 // count. Neither accumulator is written.
 func (a *valueAcc) finish(ov *valueAcc) ([]ValueEntry, int) {
 	total := a.total
-	var ovCounts map[valueKey]int
+	var ovCounts *countTable
 	if ov != nil {
 		total += ov.total
-		ovCounts = ov.counts
+		ovCounts = &ov.counts
 	}
 	// Never nil, even when empty: a nil histogram renders as unconfigured.
-	n := len(a.counts) + len(ovCounts)
+	n := a.counts.len() + ovCounts.len()
 	if p := a.opts.MinSharePercent; p > 0 {
 		n = min(n, int(100/p)+1) // shares sum to 100, so few bins reach p
 	}
 	entries := make([]ValueEntry, 0, n)
-	sumCounts(a.counts, ovCounts, func(k valueKey, c int) {
+	a.counts.sum(ovCounts, func(k int64, c int) {
 		share := 100 * float64(c) / float64(total)
 		if share >= a.opts.MinSharePercent {
-			entries = append(entries, ValueEntry{Value: k.v, Jiffies: k.j, Count: c, Share: share})
+			v, j := unpackValueKey(k)
+			entries = append(entries, ValueEntry{Value: v, Jiffies: j, Count: c, Share: share})
 		}
 	})
 	// A user-space bin and a jiffy bin can land on the same Value (e.g. a
 	// user 5 s next to kernel jiffies 1250 = 5 s); break the tie on Jiffies
-	// so the order never depends on map iteration.
+	// so the order never depends on which bin was seen first.
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Value != entries[j].Value {
 			return entries[i].Value < entries[j].Value
@@ -234,19 +253,6 @@ func (a *valueAcc) finish(ov *valueAcc) ([]ValueEntry, int) {
 		return entries[i].Jiffies < entries[j].Jiffies
 	})
 	return entries, total
-}
-
-// sumCounts calls f once for every key of a or b with its summed count;
-// either map may be nil.
-func sumCounts[K comparable](a, b map[K]int, f func(K, int)) {
-	for k, c := range a {
-		f(k, c+b[k])
-	}
-	for k, c := range b {
-		if _, ok := a[k]; !ok {
-			f(k, c)
-		}
-	}
 }
 
 // CommonValues computes the binned value histogram over all sets in the

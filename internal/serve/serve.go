@@ -44,7 +44,9 @@ import (
 // Options configures a Server; the zero value is usable.
 type Options struct {
 	// Pipeline configures the per-stream analysis shards; zero value is the
-	// standard pipeline.
+	// standard pipeline. No endpoint serves a Scatter or a SeriesProcess,
+	// and a series keeps every arming of its process, against the
+	// bounded-memory rule, so timerstat -serve refuses both.
 	Pipeline analysis.Pipeline
 	// Clock supplies the service's wall clock (rate buckets, merge cadence,
 	// uptime). Nil means the host clock; tests inject a fake.

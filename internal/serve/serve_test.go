@@ -266,9 +266,11 @@ func TestServeEmptyHistogramsRender(t *testing.T) {
 
 // TestServeTimerIDCollisions: two producers whose streams reuse the same
 // timer IDs break the merge contract: /api/metrics counts each shared ID
-// once in timer_id_collisions, and every section answer carries the count
-// in its X-Timer-ID-Collisions header. Producers with namespaced IDs get
-// neither.
+// once in timer_id_collisions, every section answer carries the count in
+// its X-Timer-ID-Collisions header, and /api/summary differs from the
+// offline answer over the concatenated streams, so the header marks a real
+// divergence. Producers with namespaced IDs get neither, and all three
+// sections equal the offline answer byte for byte.
 func TestServeTimerIDCollisions(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -279,9 +281,13 @@ func TestServeTimerIDCollisions(t *testing.T) {
 		{"namespaced", false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(Options{Pipeline: testPipeline(), Clock: newFakeClock().now, Version: "test"})
+			p := testPipeline()
+			srv := New(Options{Pipeline: p, Clock: newFakeClock().now, Version: "test"})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
+			// Oracle: one offline Run over the streams concatenated in
+			// name order, which the producers' names already are.
+			oracle := trace.NewBuffer(2 * 1000)
 			for producer, name := range []string{"host-a", "host-b"} {
 				b := producerTrace(producer, 500)
 				if tc.strip {
@@ -296,17 +302,44 @@ func TestServeTimerIDCollisions(t *testing.T) {
 					b = shared
 				}
 				replay(t, ts.URL, name, b, 128)
+				for _, r := range b.Records() {
+					r.Origin = oracle.Origin(b.OriginName(r.Origin))
+					oracle.Log(r)
+				}
+			}
+			rep, err := p.Run(oracle)
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantHeader := ""
 			if tc.want > 0 {
 				wantHeader = strconv.FormatUint(tc.want, 10)
 			}
-			for _, section := range []string{"/api/summary", "/api/origins", "/api/histograms"} {
+			for _, c := range []struct {
+				section string
+				offline []byte
+			}{
+				{"/api/summary", rep.SummaryJSON()},
+				{"/api/origins", rep.OriginsJSON()},
+				{"/api/histograms", rep.HistogramsJSON()},
+			} {
+				section := c.section
 				resp, err := http.Get(ts.URL + section)
 				if err != nil {
 					t.Fatal(err)
 				}
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				same := bytes.Equal(body, c.offline)
+				if tc.want == 0 && !same {
+					t.Errorf("%s: namespaced streams: server bytes != offline bytes\nserver: %.200s\noffline: %.200s", section, body, c.offline)
+				}
+				if tc.want > 0 && section == "/api/summary" && same {
+					t.Errorf("%s: shared IDs: server bytes equal the offline answer, so the header marks no divergence", section)
+				}
 				got, ok := resp.Header[http.CanonicalHeaderKey(HeaderTimerIDCollisions)]
 				if tc.want == 0 && ok {
 					t.Errorf("%s: %s header %q on namespaced streams, want none", section, HeaderTimerIDCollisions, got)

@@ -48,8 +48,11 @@ echo "== serial-vs-parallel analysis determinism golden test =="
 # its bytes and leave the Merger's base as it was, a trailing use that
 # resolves under another bin must leave no zero-count key, a Partial must
 # refuse a second Merger, and the quickselect median behind classification
-# must match the sort it replaced.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions|TestMergerRemergeIsStable|TestMergerTrailingUseLeavesNoZeroKey|TestMergerOwnsItsPartials|TestWeightedMedianMatchesSort' \
+# must match the sort it replaced. The count table behind every histogram
+# must match a map oracle across its growth boundaries and in sums, pack
+# every value bin to a key that unpacks to it, and drain in insertion
+# order, with a short mean probe where slot order clusters.
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions|TestMergerRemergeIsStable|TestMergerTrailingUseLeavesNoZeroKey|TestMergerOwnsItsPartials|TestWeightedMedianMatchesSort|TestCountTableMatchesMap|TestCountTableSum|TestValueKeyRoundTrip|TestCountTableDrainProbeBound' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -70,8 +73,8 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # origin row included) stays within its 280-byte size pin. The serve ingest
 # decode (a warm FrameDecoder fed a batch of record frames) allocates
 # nothing, and neither does a warm Partial's AddChunk right after a Merger
-# drained it.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
+# drained it, nor refilling a count table after its reset.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
