@@ -46,7 +46,6 @@ type Timer struct {
 	base  *Base
 	entry timerwheel.Timer
 	fn    func()
-	state TimerState
 	id    uint64
 	gen   uint64 // bumped on every Mod/Del, validates nextExpiry heap entries
 
@@ -54,6 +53,9 @@ type Timer struct {
 	Origin string
 	// PID attributes the timer to a process (0 = kernel).
 	PID int32
+	// state sits with the one-byte flags below, which packs the struct
+	// into 144 bytes instead of 152 (TestTimerSize).
+	state TimerState
 	// Deferrable marks the 2.6.22 flag: the timer does not wake an idle CPU.
 	Deferrable bool
 	// UserFlagged marks timers armed on behalf of user space (syscall

@@ -2,6 +2,7 @@ package jiffies
 
 import (
 	"testing"
+	"unsafe"
 
 	"timerstudy/internal/sim"
 	"timerstudy/internal/timerwheel"
@@ -274,6 +275,16 @@ func TestTickZeroAlloc(t *testing.T) {
 	}
 	if fires-before < 1000 {
 		t.Fatalf("timer fired %d times over 1001 ticks", fires-before)
+	}
+}
+
+// TestTimerSize pins the timer_list analog at 144 bytes, a malloc size
+// class: the syscall layer and the daemons hold dozens per fleet host, and
+// a field order that pads it to 152 bytes moves each into the 160-byte
+// class.
+func TestTimerSize(t *testing.T) {
+	if got := unsafe.Sizeof(Timer{}); got > 144 {
+		t.Errorf("Timer is %d B, want <= 144", got)
 	}
 }
 

@@ -15,12 +15,16 @@ const (
 	tvnMask = tvnSize - 1
 )
 
-// HierarchicalWheel implements Queue. Its 512 list heads are 16 bytes
-// each, so the whole wheel is about 8 KB and its zero buckets are empty.
+// HierarchicalWheel implements Queue. Its list heads are one pointer each:
+// tv1's 256 sit inline, and each outer level's 64 are allocated when a
+// timer first lands in it. A wheel whose timers all fall within tv1's
+// range takes 2,304 B of heap (its 2,104 B rounded up to a size class); a
+// fleet host's, whose timers also use tv2 and tv3, 3,328 B. A level once
+// built stays, as do its buckets, which pending timers point at.
 type HierarchicalWheel struct {
 	tv1 [tvrSize]bucket
-	tvn [4][tvnSize]bucket // tv2..tv5
-	now uint64             // base.timer_jiffies: next tick to process
+	tvn [4]*[tvnSize]bucket // tv2..tv5, nil until first used
+	now uint64              // base.timer_jiffies: next tick to process
 	n   int
 	seq uint64
 }
@@ -40,6 +44,8 @@ func (w *HierarchicalWheel) Len() int { return w.n }
 // vecFor returns the bucket a timer expiring at `expires` belongs in, given
 // the wheel's current base tick — a transliteration of Linux
 // internal_add_timer().
+//
+//lint:allocfree bucket choice; an outer level's one allocation is the out-of-line build
 func (w *HierarchicalWheel) vecFor(expires uint64) *bucket {
 	// idx is the distance to expiry from the wheel's base.
 	idx := int64(expires) - int64(w.now)
@@ -50,19 +56,36 @@ func (w *HierarchicalWheel) vecFor(expires uint64) *bucket {
 	case idx < tvrSize:
 		return &w.tv1[expires&tvrMask]
 	case idx < 1<<(tvrBits+tvnBits):
-		return &w.tvn[0][(expires>>tvrBits)&tvnMask]
+		return &w.level(0)[(expires>>tvrBits)&tvnMask]
 	case idx < 1<<(tvrBits+2*tvnBits):
-		return &w.tvn[1][(expires>>(tvrBits+tvnBits))&tvnMask]
+		return &w.level(1)[(expires>>(tvrBits+tvnBits))&tvnMask]
 	case idx < 1<<(tvrBits+3*tvnBits):
-		return &w.tvn[2][(expires>>(tvrBits+2*tvnBits))&tvnMask]
+		return &w.level(2)[(expires>>(tvrBits+2*tvnBits))&tvnMask]
 	default:
 		// Cap at the maximum representable interval, like the kernel.
 		max := uint64(1)<<(tvrBits+4*tvnBits) - 1
 		if uint64(idx) > max {
 			expires = max + w.now
 		}
-		return &w.tvn[3][(expires>>(tvrBits+3*tvnBits))&tvnMask]
+		return &w.level(3)[(expires>>(tvrBits+3*tvnBits))&tvnMask]
 	}
+}
+
+// level returns outer level i (tv2 for 0), building it on first use.
+//
+//lint:allocfree one nil check; the allocation is the out-of-line build, once per level
+func (w *HierarchicalWheel) level(i int) *[tvnSize]bucket {
+	if w.tvn[i] == nil {
+		w.build(i)
+	}
+	return w.tvn[i]
+}
+
+// build allocates outer level i.
+//
+//go:noinline
+func (w *HierarchicalWheel) build(i int) {
+	w.tvn[i] = new([tvnSize]bucket)
 }
 
 // Schedule implements Queue.
@@ -98,7 +121,11 @@ func (w *HierarchicalWheel) Cancel(t *Timer) bool {
 //
 //lint:allocfree re-files list entries in place
 func (w *HierarchicalWheel) cascade(level, index int) int {
-	b := &w.tvn[level][index]
+	l := w.tvn[level]
+	if l == nil {
+		return index
+	}
+	b := &l[index]
 	for {
 		t := b.popFront()
 		if t == nil {

@@ -34,9 +34,9 @@ func (s *SortedList) Schedule(t *Timer, expires uint64) {
 	t.queue = s
 	// Walk from the back: workloads overwhelmingly append near the tail
 	// (new timeouts are later than pending ones), so this is usually O(1).
-	pos := s.list.last
+	pos := s.list.last()
 	for pos != nil && pos.expires > expires {
-		pos = pos.prev
+		pos = s.list.before(pos)
 	}
 	s.list.insertAfter(t, pos)
 	s.n++

@@ -21,7 +21,8 @@ type Timer struct {
 	expires uint64
 	queue   Queue
 	seq     uint64 // insertion order for same-tick FIFO
-	// intrusive doubly-linked list (sorted list, wheel buckets)
+	// intrusive doubly-linked list (sorted list, wheel buckets); prev is
+	// circular, see bucket
 	next, prev *Timer
 	bucket     *bucket
 	// heap position
@@ -60,36 +61,66 @@ type Queue interface {
 }
 
 // bucket is an intrusive list head used by the wheel variants and the
-// sorted list: the first and last entries of a nil-terminated doubly-linked
-// list. The zero value is an empty list, so a wheel's bucket arrays need no
-// initialisation, and each head costs 16 bytes instead of a sentinel Timer.
+// sorted list: the first entry of a doubly-linked list whose next links
+// end in nil and whose prev links are circular, so first.prev is the last
+// entry. The zero value is an empty list, so a wheel's bucket arrays need
+// no initialisation, and each head costs one pointer.
 type bucket struct {
-	first, last *Timer
+	first *Timer
+}
+
+// last returns the last timer, or nil.
+func (b *bucket) last() *Timer {
+	if b.first == nil {
+		return nil
+	}
+	return b.first.prev
+}
+
+// before returns the timer in front of t, or nil when t is first.
+func (b *bucket) before(t *Timer) *Timer {
+	if t == b.first {
+		return nil
+	}
+	return t.prev
 }
 
 // pushBack appends t.
 //
 //lint:allocfree pointer links only
 func (b *bucket) pushBack(t *Timer) {
-	b.insertAfter(t, b.last)
+	if f := b.first; f == nil {
+		t.prev = t
+		b.first = t
+	} else {
+		t.prev = f.prev
+		f.prev.next = t
+		f.prev = t
+	}
+	t.next = nil
+	t.bucket = b
 }
 
 // insertAfter places t behind pos, or at the front when pos is nil.
 //
 //lint:allocfree pointer links only
 func (b *bucket) insertAfter(t, pos *Timer) {
-	t.prev = pos
-	if pos == nil {
-		t.next = b.first
+	switch {
+	case b.first == nil:
+		t.prev, t.next = t, nil
 		b.first = t
-	} else {
-		t.next = pos.next
+	case pos == nil:
+		t.prev, t.next = b.first.prev, b.first
+		b.first.prev = t
+		b.first = t
+	default:
+		t.prev, t.next = pos, pos.next
+		if pos.next == nil {
+			b.first.prev = t
+		} else {
+			pos.next.prev = t
+		}
 		pos.next = t
-	}
-	if t.next == nil {
-		b.last = t
-	} else {
-		t.next.prev = t
 	}
 	t.bucket = b
 }
@@ -98,15 +129,18 @@ func (b *bucket) insertAfter(t, pos *Timer) {
 //
 //lint:allocfree pointer links only
 func (b *bucket) remove(t *Timer) {
-	if t.prev == nil {
+	if t == b.first {
 		b.first = t.next
+		if t.next != nil {
+			t.next.prev = t.prev
+		}
 	} else {
 		t.prev.next = t.next
-	}
-	if t.next == nil {
-		b.last = t.prev
-	} else {
-		t.next.prev = t.prev
+		if t.next == nil {
+			b.first.prev = t.prev
+		} else {
+			t.next.prev = t.prev
+		}
 	}
 	t.next, t.prev, t.bucket = nil, nil, nil
 }

@@ -199,21 +199,39 @@ func TestHierarchicalMaxIntervalCapped(t *testing.T) {
 }
 
 // TestHierarchicalWheelFootprint pins the wheel's size: every simulated
-// Linux host (one per fleet host) carries one, so its 512 list heads must
-// stay two pointers each; a sentinel Timer per head would make it 45 KB.
+// Linux host (one per fleet host) carries one, so its list heads must stay
+// one pointer each and only tv1's may sit inline. Two-pointer heads for all
+// five levels made it 8 KB, and a sentinel Timer per head 45 KB. A wheel
+// whose timers fall within tv1 builds no outer level, and one level is
+// built for a timer that needs it.
 func TestHierarchicalWheelFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(bucket{}); got != 2*unsafe.Sizeof(uintptr(0)) {
-		t.Errorf("bucket is %d B, want two pointers", got)
+	if got := unsafe.Sizeof(bucket{}); got != unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("bucket is %d B, want one pointer", got)
 	}
-	if got := unsafe.Sizeof(HierarchicalWheel{}); got > 8216 {
-		t.Errorf("HierarchicalWheel is %d B, want <= 8216", got)
+	if got := unsafe.Sizeof(HierarchicalWheel{}); got > 2104 {
+		t.Errorf("HierarchicalWheel is %d B, want <= 2104", got)
+	}
+	w := NewHierarchicalWheel()
+	w.Schedule(&Timer{}, tvrSize-1)
+	if w.tvn != [4]*[tvnSize]bucket{} {
+		t.Error("a tv1 timer built an outer level")
+	}
+	w.Schedule(&Timer{}, 1<<(tvrBits+2*tvnBits)+1)
+	for i, l := range w.tvn {
+		if (l != nil) != (i == 2) {
+			t.Errorf("after a tv4 timer, level tv%d built = %v", i+2, l != nil)
+		}
 	}
 }
 
-// referenceModel is a trivially correct queue: a map scanned on every tick.
+// referenceModel is a trivially correct queue: a map scanned whenever the
+// clock reaches the earliest expiry it may hold.
 type referenceModel struct {
 	timers map[*Timer]uint64
 	last   uint64
+	// next is a lower bound on every pending expiry, so ticks before it
+	// skip the scan.
+	next uint64
 }
 
 func newReference() *referenceModel { return &referenceModel{timers: map[*Timer]uint64{}} }
@@ -223,6 +241,7 @@ func (r *referenceModel) schedule(t *Timer, expires uint64) {
 		expires = r.last + 1
 	}
 	r.timers[t] = expires
+	r.next = min(r.next, expires)
 }
 func (r *referenceModel) cancel(t *Timer) bool {
 	_, ok := r.timers[t]
@@ -230,21 +249,32 @@ func (r *referenceModel) cancel(t *Timer) bool {
 	return ok
 }
 func (r *referenceModel) advance(now uint64) []int {
+	r.last = now
+	if now < r.next {
+		return nil
+	}
 	var fired []int
+	r.next = ^uint64(0)
 	for t, e := range r.timers {
 		if e <= now {
 			fired = append(fired, t.Payload.(int))
 			delete(r.timers, t)
+		} else {
+			r.next = min(r.next, e)
 		}
 	}
-	r.last = now
 	sort.Ints(fired)
 	return fired
 }
 
 // TestAgainstReferenceModel drives every implementation with the same random
 // operation sequence and requires the per-tick fired sets to match a naive
-// model exactly.
+// model exactly. Expiries reach every hierarchical level and past the
+// wheel's maximum interval, and occasional long advances carry the clock
+// past 2^20 ticks; far timers, never cancelled, fire from tv3 and tv4
+// through their cascades into the ticks checked. A
+// gap in which the reference has nothing due is crossed in one Advance
+// call, which must fire nothing.
 func TestAgainstReferenceModel(t *testing.T) {
 	for name, q := range allQueues() {
 		t.Run(name, func(t *testing.T) {
@@ -255,24 +285,41 @@ func TestAgainstReferenceModel(t *testing.T) {
 				timers[i] = &Timer{Payload: i}
 			}
 			now := uint64(0)
+			near := len(timers) - farTimers
 			for step := 0; step < 5000; step++ {
-				switch op := rng.Intn(10); {
-				case op < 5: // schedule/reschedule
-					tm := timers[rng.Intn(len(timers))]
-					exp := now + uint64(rng.Intn(2000))
+				switch op := rng.Intn(100); {
+				case op < 50: // schedule/reschedule
+					tm := timers[rng.Intn(near)]
+					exp := goldenExpiry(rng, now)
 					q.Schedule(tm, exp)
 					ref.schedule(tm, exp)
-				case op < 7: // cancel
-					tm := timers[rng.Intn(len(timers))]
+				case op < 55: // arm an idle far timer
+					if tm := timers[near+rng.Intn(farTimers)]; !tm.Pending() {
+						exp := farExpiry(rng, now)
+						q.Schedule(tm, exp)
+						ref.schedule(tm, exp)
+					}
+				case op < 70: // cancel
+					tm := timers[rng.Intn(near)]
 					got := q.Cancel(tm)
 					want := ref.cancel(tm)
 					if got != want {
 						t.Fatalf("step %d: cancel = %v, reference = %v", step, got, want)
 					}
-				default: // advance 1..16 ticks, one at a time
+				default: // advance tick by tick, in one call across idle gaps
 					n := uint64(rng.Intn(16) + 1)
-					for i := uint64(0); i < n; i++ {
-						now++
+					if rng.Intn(40) == 0 {
+						n = uint64(rng.Intn(1<<16) + 1)
+					}
+					for end := now + n; now < end; {
+						// Nothing the reference holds is due before
+						// ref.next, so one Advance to the tick before it
+						// must fire nothing.
+						if ref.next > now+1 {
+							now = min(end, ref.next-1)
+						} else {
+							now++
+						}
 						var fired []int
 						q.Advance(now, func(tm *Timer) { fired = append(fired, tm.Payload.(int)) })
 						sort.Ints(fired)
@@ -290,6 +337,9 @@ func TestAgainstReferenceModel(t *testing.T) {
 				if q.Len() != len(ref.timers) {
 					t.Fatalf("step %d: Len = %d, reference = %d", step, q.Len(), len(ref.timers))
 				}
+			}
+			if now <= 1<<(tvrBits+2*tvnBits) {
+				t.Fatalf("the run ends at tick %d, short of tv4's first cascade", now)
 			}
 		})
 	}
