@@ -84,7 +84,8 @@ type Process struct {
 	l *Linux
 	// PID is the process identifier (assigned sequentially from 1000, like
 	// a freshly booted desktop).
-	PID int32
+	PID         int32
+	alarmOrigin uint32
 	// Name is the executable name used in origins ("Xorg", "firefox-bin").
 	Name string
 
@@ -92,11 +93,10 @@ type Process struct {
 	// on-stack timer structures of the respective syscall paths: one
 	// stable identity per thread per syscall, which is what lets the
 	// analysis correlate the X server's successive select timeouts
-	// (Figure 4).
-	main *Thread
+	// (Figure 4). Its timers' origins label every other thread's too.
+	main Thread
 
-	alarmTimer  *jiffies.Timer
-	alarmOrigin uint32
+	alarmTimer jiffies.Timer
 }
 
 // Thread is one thread of a process: it owns the per-thread on-stack timer
@@ -126,9 +126,13 @@ type blocker struct {
 func (l *Linux) NewProcess(name string) *Process {
 	l.nextPID++
 	p := &Process{l: l, PID: 999 + l.nextPID, Name: name}
-	p.main = p.NewThread()
-	p.alarmTimer = p.quietTimer(name + "/alarm")
-	p.alarmOrigin = l.tr.Origin(name + "/alarm")
+	// The process's three labels share one allocation.
+	labels := name + "/select" + name + "/poll" + name + "/alarm"
+	sel, poll := len(name)+len("/select"), 2*len(name)+len("/select/poll")
+	alarm := labels[poll:]
+	p.initThread(&p.main, labels[:sel], labels[sel:poll])
+	p.initQuiet(&p.alarmTimer, alarm)
+	p.alarmOrigin = l.tr.Origin(alarm)
 	l.procs = append(l.procs, p)
 	return p
 }
@@ -138,9 +142,14 @@ func (l *Linux) NewProcess(name string) *Process {
 // but each thread's syscall timers have their own identity.
 func (p *Process) NewThread() *Thread {
 	t := &Thread{}
-	t.sel.init(p, p.Name+"/select")
-	t.poll.init(p, p.Name+"/poll")
+	p.initThread(t, p.main.sel.timer.Origin, p.main.poll.timer.Origin)
 	return t
+}
+
+// initThread initializes t's select and poll paths.
+func (p *Process) initThread(t *Thread, selectOrigin, pollOrigin string) {
+	t.sel.init(p, selectOrigin)
+	t.poll.init(p, pollOrigin)
 }
 
 // init initializes the path's timer and binds its expiry callback once.
@@ -156,9 +165,16 @@ func (b *blocker) init(p *Process, origin string) {
 func (l *Linux) Processes() []*Process { return l.procs }
 
 func (p *Process) quietTimer(origin string) *jiffies.Timer {
-	t := &jiffies.Timer{Quiet: true, UserFlagged: true}
-	p.l.base.Init(t, origin, p.PID, nil)
+	t := &jiffies.Timer{}
+	p.initQuiet(t, origin)
 	return t
+}
+
+// initQuiet initializes t as one of the process's user timers that the
+// syscall paths trace themselves.
+func (p *Process) initQuiet(t *jiffies.Timer, origin string) {
+	t.Quiet, t.UserFlagged = true, true
+	p.l.base.Init(t, origin, p.PID, nil)
 }
 
 // SelectResult is what a select/poll continuation receives.
@@ -366,7 +382,7 @@ func (p *Process) Alarm(d sim.Duration, onSignal func()) sim.Duration {
 	var remaining sim.Duration
 	if p.alarmTimer.Pending() {
 		remaining = jiffies.JiffiesToTime(p.alarmTimer.Expires()).Sub(l.eng.Now())
-		_ = l.base.Del(p.alarmTimer)
+		_ = l.base.Del(&p.alarmTimer)
 		l.tr.Log(trace.Record{
 			T: l.eng.Now(), Op: trace.OpCancel, TimerID: p.alarmTimer.ID(),
 			PID: p.PID, Origin: p.alarmOrigin, Flags: trace.FlagUser,
@@ -388,7 +404,7 @@ func (p *Process) Alarm(d sim.Duration, onSignal func()) sim.Duration {
 		T: l.eng.Now(), Op: trace.OpSet, TimerID: p.alarmTimer.ID(), Timeout: int64(d),
 		PID: p.PID, Origin: p.alarmOrigin, Flags: trace.FlagUser,
 	})
-	l.base.ModTimeout(p.alarmTimer, d)
+	l.base.ModTimeout(&p.alarmTimer, d)
 	return remaining
 }
 

@@ -21,11 +21,14 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Since": true, "Until": true,
 }
 
-// allowedRandFuncs are the math/rand constructors that accept an explicit
-// Source or seed; everything else at package level uses the shared global
-// source, whose default seeding breaks run-to-run reproducibility.
+// allowedRandFuncs are the math/rand and math/rand/v2 constructors that
+// accept an explicit Source or seed; everything else at package level uses
+// the shared global source, whose default seeding breaks run-to-run
+// reproducibility. checkClockSeeding still vets the seeding constructors'
+// arguments.
 var allowedRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
 }
 
 // WallClock forbids host-clock reads and unseeded global math/rand use in

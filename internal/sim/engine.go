@@ -95,7 +95,7 @@ type Engine struct {
 	free     *event // freelist of released nodes, threaded via next
 	seq      uint64
 	rng      *rand.Rand
-	src      *countingSource
+	src      source
 	stats    Stats
 	lastWake Time
 	hasWoken bool
@@ -104,10 +104,13 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time zero whose randomness derives entirely
-// from seed.
+// from seed: its source delivers the stream of rand.NewSource(seed).
 func NewEngine(seed int64) *Engine {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Engine{rng: rand.New(src), src: src}
+	e := &Engine{}
+	e.src.Seed(seed)
+	e.rng = rand.New(&e.src)
+	e.queue.items = e.queue.first[:0]
+	return e
 }
 
 // Now returns the current virtual time.

@@ -10,7 +10,14 @@ package sim
 // operation never allocates.
 type heapQueue struct {
 	items []*event
+	// first backs items until the queue outgrows it, so a new engine's
+	// first pending events need no allocation.
+	first [queueInline]*event
 }
+
+// queueInline is the queue's built-in capacity: every host of the
+// benchmark's fleet plane holds 9–16 pending events once booted.
+const queueInline = 16
 
 func (h *heapQueue) len() int { return len(h.items) }
 

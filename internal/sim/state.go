@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"sort"
-)
+import "sort"
 
 // Engine state export for the control plane's checkpoints (internal/control).
 //
@@ -17,35 +14,12 @@ import (
 // RNG position and the accounting stats. Two engines that agree
 // on State() have byte-identical futures for the same inputs.
 
-// countingSource wraps the engine's random source and counts raw draws.
-// It forwards both Source interfaces verbatim, so the delivered stream is
-// bit-identical to an unwrapped rand.NewSource — wrapping changes no trace.
-// The draw count is the serializable half of the RNG state: (seed, draws)
-// reconstructs the source exactly by fast-forwarding.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
-}
-
 // RandDraws returns how many raw values the engine's random source has
-// produced. Together with the construction seed it pins the RNG state: two
-// engines built from the same seed with equal draw counts are at the same
-// stream position.
+// produced. The source (source.go) counts them itself: it is one in-tree
+// generator that delivers rand.NewSource's stream for every seed, bit for
+// bit, so the count costs no wrapper and moves no trace byte. Together
+// with the construction seed it pins the RNG state: two engines built from
+// the same seed with equal draw counts are at the same stream position.
 func (e *Engine) RandDraws() uint64 { return e.src.draws }
 
 // Resume clears a Stop: Run/Step/AdvanceUntil execute events again. Pending

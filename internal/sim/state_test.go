@@ -19,9 +19,9 @@ func TestStateDetectsDivergence(t *testing.T) {
 	}
 }
 
-// TestRandDrawsCountsAndPreservesStream: the counting wrapper must not
-// change the delivered random stream, and the draw count must advance with
-// use so (seed, draws) pins the RNG position.
+// TestRandDrawsCountsAndPreservesStream: engines built from one seed
+// deliver one stream, and the draw count must advance with use so
+// (seed, draws) pins the RNG position.
 func TestRandDrawsCountsAndPreservesStream(t *testing.T) {
 	a := NewEngine(42)
 	b := NewEngine(42)

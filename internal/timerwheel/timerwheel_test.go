@@ -167,21 +167,27 @@ func TestHierarchicalCascadeBoundaries(t *testing.T) {
 		1<<(tvrBits+tvnBits) - 1, 1 << (tvrBits + tvnBits), 1<<(tvrBits+tvnBits) + 1,
 		1 << (tvrBits + 2*tvnBits), 1 << (tvrBits + 3*tvnBits),
 	}
-	firedAt := make(map[uint64]uint64)
 	for _, b := range boundaries {
-		b := b
 		q.Schedule(&Timer{Payload: b}, b)
 	}
-	limit := uint64(1<<(tvrBits+3*tvnBits)) + 10
-	for tick := uint64(1); tick <= limit; tick += 1 {
-		q.Advance(tick, func(tm *Timer) { firedAt[tm.Payload.(uint64)] = tick })
-		if len(firedAt) == len(boundaries) {
-			break
+	// Advance in one call to just before each boundary, then onto it: the
+	// boundary's timer must fire in the second call and not the first, so
+	// it fires exactly at its tick. The boundaries are in increasing order.
+	firedAt := make(map[uint64]uint64)
+	var target uint64
+	fire := func(tm *Timer) { firedAt[tm.Payload.(uint64)] = target }
+	for _, b := range boundaries {
+		target = b - 1
+		q.Advance(target, fire)
+		if at, ok := firedAt[b]; ok {
+			t.Errorf("timer for tick %d fired by tick %d", b, at)
 		}
+		target = b
+		q.Advance(target, fire)
 	}
 	for _, b := range boundaries {
-		if firedAt[b] != b {
-			t.Errorf("timer for tick %d fired at %d", b, firedAt[b])
+		if at, ok := firedAt[b]; !ok || at != b {
+			t.Errorf("timer for tick %d fired at %d", b, at)
 		}
 	}
 }

@@ -8,16 +8,20 @@ package trace
 // per-host determinism contract. At 10k hosts a Buffer per host does not fit
 // in memory; a HashSink is 8 bytes of state plus its origin table.
 //
-// The origin table is the interned labels in ID order. Up to
-// originScanMax labels a lookup scans them, which for a host's few dozen
-// labels is cheaper to hold than a map's buckets; a sink that interns more
-// indexes them all in a map, so lookups never go quadratic.
+// The origin table is the interned labels in ID order, held in blocks of
+// originBlock: the table grows a block at a time and never copies, so it
+// leaves fewer than originBlock slots unused and, unlike a slice grown by
+// append, no garbage behind. Up to originScanMax labels a lookup scans
+// them, which for a host's few dozen labels is cheaper to hold than a map's
+// buckets; a sink that interns more indexes them all in a map, so lookups
+// never go quadratic.
 //
 // Like every Sink it maintains full Counters, so overhead accounting and the
 // sum(ByOp)+Unknown == Total invariant survive the switch from Buffer.
 type HashSink struct {
 	h       uint64
-	origins []string
+	origins []*[originBlock]string
+	n       uint32 // labels interned, "?" included
 	// originID indexes origins once they outgrow originScanMax; nil before.
 	originID map[string]uint32
 	counters Counters
@@ -26,6 +30,9 @@ type HashSink struct {
 
 // originScanMax is the most labels an origin lookup scans.
 const originScanMax = 64
+
+// originBlock is how many labels one block of the origin table holds.
+const originBlock = 8
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -38,8 +45,8 @@ var _ Sink = (*HashSink)(nil)
 // and folded, mirroring NewBuffer, so a HashSink and a Buffer fed the same
 // operations agree on every origin ID.
 func NewHashSink() *HashSink {
-	s := &HashSink{h: fnvOffset64}
-	s.origins = append(s.origins, "?")
+	s := &HashSink{h: fnvOffset64, origins: make([]*[originBlock]string, 0, originScanMax/originBlock)}
+	s.add("?")
 	s.fold([]byte("?"))
 	s.foldU32(0)
 	return s
@@ -72,21 +79,34 @@ func (s *HashSink) Origin(name string) uint32 {
 	if id, ok := s.lookup(name); ok {
 		return id
 	}
-	id := uint32(len(s.origins))
-	s.origins = append(s.origins, name)
+	id := s.add(name)
 	switch {
 	case s.originID != nil:
 		s.originID[name] = id
-	case len(s.origins) > originScanMax:
-		s.originID = make(map[string]uint32, 2*len(s.origins))
-		for i, o := range s.origins[1:] {
-			s.originID[o] = uint32(i + 1)
+	case s.n > originScanMax:
+		s.originID = make(map[string]uint32, 2*s.n)
+		for id := uint32(1); id < s.n; id++ {
+			s.originID[s.name(id)] = id
 		}
 	}
 	s.fold([]byte(name))
 	s.foldU32(id)
 	return id
 }
+
+// add appends name to the origin table and returns its ID.
+func (s *HashSink) add(name string) uint32 {
+	id := s.n
+	if id%originBlock == 0 {
+		s.origins = append(s.origins, new([originBlock]string))
+	}
+	s.origins[id/originBlock][id%originBlock] = name
+	s.n++
+	return id
+}
+
+// name returns the label of an interned ID.
+func (s *HashSink) name(id uint32) string { return s.origins[id/originBlock][id%originBlock] }
 
 // lookup returns name's ID if it is interned. Origin 0, the reserved "?",
 // is never a match: interning "?" gives it an ID of its own, as in Buffer.
@@ -95,9 +115,9 @@ func (s *HashSink) lookup(name string) (uint32, bool) {
 		id, ok := s.originID[name]
 		return id, ok
 	}
-	for i, o := range s.origins[1:] {
-		if o == name {
-			return uint32(i + 1), true
+	for id := uint32(1); id < s.n; id++ {
+		if s.name(id) == name {
+			return id, true
 		}
 	}
 	return 0, false
@@ -105,10 +125,10 @@ func (s *HashSink) lookup(name string) (uint32, bool) {
 
 // OriginName resolves an origin ID; unknown IDs resolve to "?".
 func (s *HashSink) OriginName(id uint32) string {
-	if int(id) < len(s.origins) {
-		return s.origins[id]
+	if id < s.n {
+		return s.name(id)
 	}
-	return s.origins[0]
+	return s.name(0)
 }
 
 // Log folds the record's exact 40-byte encoding into the digest and counts

@@ -111,7 +111,8 @@ func labelStream(rng *rand.Rand, pool, n int) []string {
 // contract: origin IDs, resolution, and counters. Random label streams,
 // some with more distinct labels than a lookup scans, must give the same
 // IDs and names from HashSink, from Buffer and from a map-indexed oracle,
-// and the oracle's digest.
+// and the oracle's digest. The origin table leaves fewer than originBlock
+// slots unused.
 func TestHashSinkMatchesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, pool := range []int{2, 10, originScanMax - 1, originScanMax, originScanMax + 1, 300} {
@@ -121,6 +122,9 @@ func TestHashSinkMatchesBuffer(t *testing.T) {
 			if hi != ri || bi != ri {
 				t.Fatalf("pool %d, label %d: Origin(%q) = %d (hash sink), %d (buffer), want %d", pool, i, n, hi, bi, ri)
 			}
+		}
+		if n, c := int(h.n), len(h.origins)*originBlock; c-n >= originBlock {
+			t.Errorf("pool %d: %d origins in %d slots, want fewer than %d unused", pool, n, c, originBlock)
 		}
 		if indexed := h.originID != nil; indexed != (len(ref.names) > originScanMax) {
 			t.Errorf("pool %d: %d labels interned, map index built = %v", pool, len(ref.names), indexed)

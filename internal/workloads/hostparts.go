@@ -98,18 +98,31 @@ func (k *HostKit) armCoalesced(t *jiffies.Timer, d sim.Duration) {
 // phase, reproducing the up-to-2 ms value jitter of Section 3.1. Arms honor
 // the kit's coalescing window (SetCoalesce).
 func (k *HostKit) Periodic(origin string, period sim.Duration, body func()) *jiffies.Timer {
-	var t *jiffies.Timer
-	t = k.L.KernelTimer(origin, func() {
-		if body != nil {
-			body()
-		}
-		k.armCoalesced(t, period)
-	})
-	k.Eng.After(k.Uniform(0, period), origin+":phase", func() {
-		k.armCoalesced(t, period)
-	})
-	return t
+	p := &periodic{k: k, period: period, body: body}
+	k.L.Base().Init(&p.t, origin, 0, p.fire)
+	k.Eng.After(k.Uniform(0, period), origin+":phase", p.phase)
+	return &p.t
 }
+
+// periodic is one Periodic timer with its period and body, in one
+// allocation beside its two bound callbacks.
+type periodic struct {
+	t      jiffies.Timer
+	k      *HostKit
+	period sim.Duration
+	body   func()
+}
+
+// fire is the timer's expiry: the body, then the next arm.
+func (p *periodic) fire() {
+	if p.body != nil {
+		p.body()
+	}
+	p.k.armCoalesced(&p.t, p.period)
+}
+
+// phase is the first arm, at the random phase.
+func (p *periodic) phase() { p.k.armCoalesced(&p.t, p.period) }
 
 // SelectLoop runs a daemon's event loop: select with a constant timeout; if
 // activityMean > 0, fd activity completes some selects early and the loop

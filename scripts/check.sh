@@ -31,6 +31,13 @@ echo "== parallel determinism golden test =="
 go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers|TestNextIndexConsistency|TestIdleHostNeverAdvanced|TestSendAtBarrierPanics' \
 	./cmd/experiments ./internal/workloads ./internal/fleet
 
+echo "== RNG source determinism golden test =="
+# The engine's in-tree lagged Fibonacci source must deliver rand.NewSource's
+# stream bit for bit at every seed normalization case, raw and through
+# *rand.Rand's derived draws, reseeded mid-stream, with its draw count
+# (the checkpoint's RNG position) reset by Seed and advanced per raw value.
+go test -race -count=2 -run 'TestSourceMatchesMathRand|TestEngineRandMatchesMathRand|TestRandDrawsCountsAndPreservesStream|TestMulModP' ./internal/sim
+
 echo "== spill-vs-memory determinism golden test =="
 # The streaming trace path (v2 spill files) must render byte-identical
 # tables and figures to the in-memory path.
@@ -78,25 +85,31 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # heads stay one pointer, with only tv1 inline and each outer level built
 # on first use; a jiffies timer stays in the 144-byte size class; and the
 # benchmark's 1024-host plane keeps at most 23 KiB of live heap per host.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
+# The build guards pin what a fleet host costs to boot: building that plane
+# makes at most 150 heap allocations per host, and reseeding an engine's
+# RNG source makes none.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestSourceSeedZeroAlloc|TestBuildAllocsPerHost|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim ./internal/timerwheel
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
 (cd _perfbench && go test .)
 
-echo "== codec, ingest and merge fuzz smoke (10s per fuzzer) =="
+echo "== codec, ingest, merge and RNG fuzz smoke (10s per fuzzer) =="
 # FuzzDecodeV2 is differential: StreamReader and FrameDecoder, whole and
 # frame by frame, must agree. FuzzIngest drives the serve ingest handler
 # with reordered, duplicate and skipped batches. FuzzMergerViews is
 # differential too: three streams fed in fuzz-chosen chunks to one Merger
 # merging at fuzz-chosen points must equal Run over the fed prefixes at
-# every view.
+# every view. FuzzSourceMatchesMathRand compares the engine's RNG source
+# with rand.NewSource at fuzz-chosen seeds over 2,000 rounds of derived
+# draws.
 go test -run '^$' -fuzz 'FuzzDecodeV2$' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzIngest$' -fuzztime=10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzMergerViews$' -fuzztime=10s ./internal/analysis
 go test -run '^$' -fuzz 'FuzzReadCheckpoint' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
+go test -run '^$' -fuzz 'FuzzSourceMatchesMathRand$' -fuzztime=10s ./internal/sim
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime=1x ./...
