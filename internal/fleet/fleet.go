@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"timerstudy/internal/fnv1a"
 	"timerstudy/internal/kernel"
 	"timerstudy/internal/netsim"
 	"timerstudy/internal/sim"
@@ -312,20 +313,10 @@ func firstHashSink(s trace.Sink) (*trace.HashSink, bool) {
 // byte-identical iff their digests match. Hosts whose sink is not a
 // HashSink contribute nothing.
 func (f *Fleet) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	d := uint64(offset64)
+	d := uint64(fnv1a.Offset64)
 	for _, h := range f.hosts {
-		hs, ok := firstHashSink(h.Sink)
-		if !ok {
-			continue
-		}
-		s := hs.Sum64()
-		for i := 0; i < 8; i++ {
-			d ^= uint64(byte(s >> (8 * i)))
-			d *= prime64
+		if hs, ok := firstHashSink(h.Sink); ok {
+			d = fnv1a.Uint(d, hs.Sum64(), 8)
 		}
 	}
 	return d

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -86,22 +88,85 @@ func TestFleetDeterminismSweep(t *testing.T) {
 	}
 }
 
+// byteRecorder is a Sink that keeps exactly the bytes a HashSink folds:
+// the pre-interned "?" and each new origin's label and 4-byte ID, in intern
+// order, and each record's 40-byte v2 encoding (trace.Record's layout).
+type byteRecorder struct {
+	ids map[string]uint32
+	b   []byte
+}
+
+func newByteRecorder() *byteRecorder {
+	r := &byteRecorder{ids: map[string]uint32{}}
+	r.b = append(r.b, "?\x00\x00\x00\x00"...)
+	return r
+}
+
+func (r *byteRecorder) Origin(name string) uint32 {
+	if id, ok := r.ids[name]; ok {
+		return id
+	}
+	id := uint32(len(r.ids) + 1)
+	r.ids[name] = id
+	r.b = binary.LittleEndian.AppendUint32(append(r.b, name...), id)
+	return id
+}
+
+func (r *byteRecorder) Log(rec trace.Record) {
+	le := binary.LittleEndian
+	b := le.AppendUint64(r.b, uint64(rec.T))
+	b = le.AppendUint64(b, rec.TimerID)
+	b = le.AppendUint64(b, uint64(rec.Timeout))
+	b = le.AppendUint32(b, uint32(rec.PID))
+	b = le.AppendUint32(b, rec.Origin)
+	b = append(b, byte(rec.Op))
+	b = le.AppendUint16(b, uint16(rec.Flags))
+	r.b = append(b, 0, 0, 0, 0, 0)
+}
+
 // TestFleetHashSinkMatchesBuffer: the digest-only sink used at 10k hosts
-// agrees with the byte-level comparison — same topology run through
-// HashSinks produces equal digests exactly when the stream runs produced
-// equal bytes.
+// digests exactly the bytes a byte-level record of the run holds. Every
+// host's HashSink is teed with a byteRecorder, and on the test topology's
+// real traffic each host's Sum64 must equal hash/fnv's FNV-1a over the
+// recorded bytes, and the fleet digest FNV-1a over the host digests. The
+// fleet digest must also agree across worker counts and move with the
+// seed.
 func TestFleetHashSinkMatchesBuffer(t *testing.T) {
-	top := testTopology() // default sink: HashSink
+	top := testTopology()
 	const end = sim.Time(sim.Second)
+	recorders := map[string]*byteRecorder{}
+	top.NewSink = func(name string) trace.Sink {
+		recorders[name] = newByteRecorder()
+		return trace.Tee(trace.NewHashSink(), recorders[name])
+	}
 	f1 := top.Build()
 	f1.StartSession(end, 1).Finish()
+	fleetDigest := fnv.New64a()
+	for _, h := range f1.Hosts() {
+		hs, ok := firstHashSink(h.Sink)
+		if !ok {
+			t.Fatalf("host %s has no HashSink", h.Name)
+		}
+		rec := recorders[h.Name]
+		if got := int(hs.Counters().Total); got == 0 || got*trace.RecordSize >= len(rec.b) {
+			t.Fatalf("host %s: %d records in %d recorded bytes", h.Name, got, len(rec.b))
+		}
+		want := fnv.New64a()
+		want.Write(rec.b)
+		if hs.Sum64() != want.Sum64() {
+			t.Fatalf("host %s: Sum64 %x, want FNV-1a over its %d recorded bytes %x", h.Name, hs.Sum64(), len(rec.b), want.Sum64())
+		}
+		fleetDigest.Write(binary.LittleEndian.AppendUint64(nil, hs.Sum64()))
+	}
+	if f1.Digest() != fleetDigest.Sum64() {
+		t.Fatalf("fleet digest %x, want FNV-1a over the host digests %x", f1.Digest(), fleetDigest.Sum64())
+	}
+
+	top.NewSink = nil // default sink: HashSink
 	f2 := top.Build()
 	f2.StartSession(end, 3).Finish()
 	if f1.Digest() != f2.Digest() {
 		t.Fatalf("digest diverges across worker counts: %x vs %x", f1.Digest(), f2.Digest())
-	}
-	if f1.Digest() == 0 {
-		t.Fatal("zero digest")
 	}
 	c1, c2 := f1.Counters(), f2.Counters()
 	if c1 != c2 || c1.Total == 0 {

@@ -41,7 +41,7 @@ func TestHostHeapBudget(t *testing.T) {
 // host of the benchmark's plane: every host's engine, RNG source, kernel,
 // processes, threads, daemons and sink. Each control.Resume rebuilds a
 // plane, so this count is paid again on every resume.
-const buildAllocsBudget = 150
+const buildAllocsBudget = 140
 
 // TestBuildAllocsPerHost counts the objects the benchmark's fleet plane
 // (128 webservers and 896 desktops at seed 1) allocates while it is built,

@@ -1,6 +1,10 @@
 package sim
 
-import "sort"
+import (
+	"sort"
+
+	"timerstudy/internal/fnv1a"
+)
 
 // Engine state export for the control plane's checkpoints (internal/control).
 //
@@ -61,39 +65,18 @@ type EngineState struct {
 	Stats Stats
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(v >> (8 * i)))
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	h = fnvUint64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // State captures the engine's dynamic state. It is a read-only walk — the
 // queue is not disturbed — and deliberately cold-path: it allocates a
 // scratch slice to sort the pending set into the canonical (when, seq)
 // order before hashing.
 func (e *Engine) State() EngineState {
 	events := e.pendingSorted()
-	h := uint64(fnvOffset64)
+	h := uint64(fnv1a.Offset64)
 	for _, n := range events {
-		h = fnvUint64(h, uint64(n.when))
-		h = fnvUint64(h, n.seq)
-		h = fnvString(h, n.name)
+		h = fnv1a.Uint(h, uint64(n.when), 8)
+		h = fnv1a.Uint(h, n.seq, 8)
+		h = fnv1a.Uint(h, uint64(len(n.name)), 8)
+		h = fnv1a.String(h, n.name)
 	}
 	return EngineState{
 		Now:        e.now,

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
 
 // TestStateDetectsDivergence: engines with different histories must not
 // collide on the events hash (the keyframe verifier depends on it).
@@ -16,6 +20,28 @@ func TestStateDetectsDivergence(t *testing.T) {
 	c.After(2*Second, "x", func() {}) // same name, different instant
 	if a.State().EventsHash == c.State().EventsHash {
 		t.Fatal("events hash ignored the event instant")
+	}
+}
+
+// TestEventsHashMatchesFNV: the events hash is hash/fnv's FNV-1a 64 over
+// each pending event's when, seq and name length (8 bytes each,
+// little-endian) and name bytes, in (when, seq) order.
+func TestEventsHashMatchesFNV(t *testing.T) {
+	e := NewEngine(1)
+	for i, name := range []string{"", "x", "kernel/workqueue:timer:phase", "x", "\x00\x01"} {
+		e.After(Duration(i%3)*Second<<(8*(i%2)), name, func() {})
+	}
+	want := fnv.New64a()
+	le := binary.LittleEndian
+	for _, n := range e.pendingSorted() {
+		var b []byte
+		b = le.AppendUint64(b, uint64(n.when))
+		b = le.AppendUint64(b, n.seq)
+		b = le.AppendUint64(b, uint64(len(n.name)))
+		want.Write(append(b, n.name...))
+	}
+	if got := e.State().EventsHash; got != want.Sum64() {
+		t.Fatalf("events hash %x, want %x", got, want.Sum64())
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"timerstudy/internal/fnv1a"
 )
 
 // Checkpoint codec: the on-disk keyframe format of the control plane
@@ -106,10 +108,7 @@ func (c *ckWriter) write(p []byte) {
 	if c.err != nil {
 		return
 	}
-	for _, b := range p {
-		c.sum ^= uint64(b)
-		c.sum *= fnvPrime64
-	}
+	c.sum = fnv1a.Bytes(c.sum, p)
 	_, c.err = c.w.Write(p)
 }
 
@@ -135,7 +134,7 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	if len(cp.Label) > maxCheckpointBlob || len(cp.Config) > maxCheckpointBlob || len(cp.Commands) > maxCheckpointBlob {
 		return fmt.Errorf("trace: checkpoint blob exceeds %d bytes", maxCheckpointBlob)
 	}
-	c := &ckWriter{w: bufio.NewWriterSize(w, 1<<16), sum: fnvOffset64}
+	c := &ckWriter{w: bufio.NewWriterSize(w, 1<<16), sum: fnv1a.Offset64}
 	c.write([]byte(checkpointMagic))
 	c.u32(checkpointVersion)
 
@@ -203,10 +202,7 @@ type ckReader struct {
 
 func (c *ckReader) read(p []byte, what string) error {
 	n, err := io.ReadFull(c.br, p)
-	for _, b := range p[:n] {
-		c.sum ^= uint64(b)
-		c.sum *= fnvPrime64
-	}
+	c.sum = fnv1a.Bytes(c.sum, p[:n])
 	c.off += int64(n)
 	if err == nil {
 		return nil
@@ -253,7 +249,7 @@ func (c *ckReader) blob(what string, max int) ([]byte, error) {
 // with the meta declaration, truncation anywhere, a checksum mismatch, or
 // bytes after the terminator are all errors, never panics.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	c := &ckReader{br: bufio.NewReaderSize(r, 1<<16), sum: fnvOffset64}
+	c := &ckReader{br: bufio.NewReaderSize(r, 1<<16), sum: fnv1a.Offset64}
 	var hdr [8]byte
 	if err := c.read(hdr[:], "header"); err != nil {
 		return nil, err
@@ -277,8 +273,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading checkpoint frame at byte offset %d: %w", c.off, err)
 		}
-		c.sum ^= uint64(kind)
-		c.sum *= fnvPrime64
+		c.sum = fnv1a.Uint(c.sum, uint64(kind), 1)
 		c.off++
 		switch kind {
 		case ckFrameMeta:

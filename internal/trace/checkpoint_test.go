@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,6 +186,25 @@ func TestCheckpointChecksumMismatch(t *testing.T) {
 	bad[off] ^= 0x80
 	if _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("corrupted payload: err = %v", err)
+	}
+}
+
+// TestCheckpointChecksumMatchesFNV: the 'E' frame's checksum is hash/fnv's
+// FNV-1a 64 over every byte before the frame, for files with and without
+// a command log and across several 'H' chunks.
+func TestCheckpointChecksumMatchesFNV(t *testing.T) {
+	for _, hosts := range []int{0, 3, ckHostChunk + 1} {
+		cp := buildCheckpoint(t, hosts)
+		if hosts == 3 {
+			cp.Commands = nil
+		}
+		full := encodeCheckpoint(t, cp)
+		body := full[:len(full)-9]
+		want := fnv.New64a()
+		want.Write(body)
+		if got := binary.LittleEndian.Uint64(full[len(full)-8:]); full[len(body)] != ckFrameEnd || got != want.Sum64() {
+			t.Fatalf("%d hosts: end frame %q with checksum %x, want 'E' with %x", hosts, full[len(body)], got, want.Sum64())
+		}
 	}
 }
 

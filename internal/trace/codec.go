@@ -17,7 +17,8 @@ const magic = "TSTR"
 const RecordSize = 40
 
 // putRecord encodes one record into dst (the caller provides RecordSize
-// bytes of scratch).
+// bytes of scratch). HashSink.Log folds the same layout field by field
+// without encoding; TestHashSinkLogMatchesFNV holds the two together.
 //
 //lint:allocfree v2 record encoder: fixed-width stores into caller scratch
 func putRecord(dst []byte, r Record) {

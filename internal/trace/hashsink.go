@@ -1,5 +1,7 @@
 package trace
 
+import "timerstudy/internal/fnv1a"
+
 // HashSink is a Sink that stores nothing and instead folds every record —
 // and every origin interning, in order — into a running FNV-1a 64 digest.
 // Two simulations produce the same Sum64 iff they would have produced
@@ -25,7 +27,6 @@ type HashSink struct {
 	// originID indexes origins once they outgrow originScanMax; nil before.
 	originID map[string]uint32
 	counters Counters
-	scratch  [RecordSize]byte
 }
 
 // originScanMax is the most labels an origin lookup scans.
@@ -34,42 +35,20 @@ const originScanMax = 64
 // originBlock is how many labels one block of the origin table holds.
 const originBlock = 8
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 var _ Sink = (*HashSink)(nil)
 
 // NewHashSink returns a digest-only sink. Origin 0 is pre-interned as "?"
 // and folded, mirroring NewBuffer, so a HashSink and a Buffer fed the same
 // operations agree on every origin ID.
 func NewHashSink() *HashSink {
-	s := &HashSink{h: fnvOffset64, origins: make([]*[originBlock]string, 0, originScanMax/originBlock)}
-	s.add("?")
-	s.fold([]byte("?"))
-	s.foldU32(0)
+	s := &HashSink{h: fnv1a.Offset64, origins: make([]*[originBlock]string, 0, originScanMax/originBlock)}
+	s.foldOrigin("?", s.add("?"))
 	return s
 }
 
-//lint:allocfree digest fold over caller-owned bytes
-func (s *HashSink) fold(b []byte) {
-	h := s.h
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	s.h = h
-}
-
-//lint:allocfree four fixed byte folds
-func (s *HashSink) foldU32(v uint32) {
-	h := s.h
-	for i := 0; i < 4; i++ {
-		h ^= uint64(byte(v >> (8 * i)))
-		h *= fnvPrime64
-	}
-	s.h = h
+// foldOrigin folds a newly interned label's bytes and its 4-byte ID.
+func (s *HashSink) foldOrigin(name string, id uint32) {
+	s.h = fnv1a.Uint(fnv1a.String(s.h, name), uint64(id), 4)
 }
 
 // Origin interns an origin label, folding the label bytes and assigned ID
@@ -89,8 +68,7 @@ func (s *HashSink) Origin(name string) uint32 {
 			s.originID[s.name(id)] = id
 		}
 	}
-	s.fold([]byte(name))
-	s.foldU32(id)
+	s.foldOrigin(name, id)
 	return id
 }
 
@@ -131,10 +109,15 @@ func (s *HashSink) OriginName(id uint32) string {
 	return s.name(0)
 }
 
-// Log folds the record's exact 40-byte encoding into the digest and counts
-// it. Nothing is stored, so nothing is ever dropped.
+// Log folds the record's exact 40-byte encoding (see putRecord) into the
+// digest and counts it. Nothing is stored, so nothing is ever dropped.
 //
-//lint:allocfree per-record hot path: putRecord into fixed scratch, then fold
+// The fields are folded straight from r, in encoding order, each as the
+// little-endian integer putRecord stores, so a field's zero high bytes cost
+// one multiply. Op, Flags and the five zero padding bytes are the record's
+// last 8 bytes: one integer whose zero tail is one multiply.
+//
+//lint:allocfree per-record hot path: field folds, no encoding
 func (s *HashSink) Log(r Record) {
 	if int(r.Op) < int(nOps) {
 		s.counters.ByOp[r.Op]++
@@ -142,8 +125,12 @@ func (s *HashSink) Log(r Record) {
 		s.counters.Unknown++
 	}
 	s.counters.Total++
-	putRecord(s.scratch[:], r)
-	s.fold(s.scratch[:])
+	h := fnv1a.Uint(s.h, uint64(r.T), 8)
+	h = fnv1a.Uint(h, r.TimerID, 8)
+	h = fnv1a.Uint(h, uint64(r.Timeout), 8)
+	h = fnv1a.Uint(h, uint64(uint32(r.PID)), 4)
+	h = fnv1a.Uint(h, uint64(r.Origin), 4)
+	s.h = fnv1a.Uint(h, uint64(r.Op)|uint64(r.Flags)<<8, 8)
 }
 
 // Sum64 returns the digest over everything logged and interned so far.

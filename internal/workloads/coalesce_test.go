@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"timerstudy/internal/jiffies"
@@ -72,5 +73,33 @@ func TestCoalesceDeterministic(t *testing.T) {
 	k.SetCoalesce(sim.Second)
 	if k.Coalesce() != sim.Second {
 		t.Fatalf("window not stored: %v", k.Coalesce())
+	}
+}
+
+// TestKernelDaemonPhaseNames: each of the ten kernel daemons schedules its
+// first arm as an event named after its own timer's origin plus ":phase",
+// the name Periodic builds; the daemons pass these names as constants.
+func TestKernelDaemonPhaseNames(t *testing.T) {
+	eng := sim.NewEngine(99)
+	buf := trace.NewBuffer(trace.DefaultCapacity)
+	k := NewHostKit(eng, kernel.NewLinux(eng, buf))
+	k.BootKernelDaemons()
+	origins := map[string]bool{}
+	for _, r := range buf.Records() {
+		if r.Op == trace.OpInit {
+			origins[buf.OriginName(r.Origin)] = true
+		}
+	}
+	phases := map[string]bool{}
+	eng.ForEachPending(func(_ sim.Time, name string) {
+		if origin, ok := strings.CutSuffix(name, ":phase"); ok {
+			if !origins[origin] || phases[name] {
+				t.Errorf("phase event %q: not a daemon timer's origin, or scheduled twice", name)
+			}
+			phases[name] = true
+		}
+	})
+	if len(phases) != 10 {
+		t.Fatalf("%d distinct phase events, want one per kernel daemon (10): %v", len(phases), phases)
 	}
 }

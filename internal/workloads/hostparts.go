@@ -98,9 +98,16 @@ func (k *HostKit) armCoalesced(t *jiffies.Timer, d sim.Duration) {
 // phase, reproducing the up-to-2 ms value jitter of Section 3.1. Arms honor
 // the kit's coalescing window (SetCoalesce).
 func (k *HostKit) Periodic(origin string, period sim.Duration, body func()) *jiffies.Timer {
+	return k.periodicNamed(origin, origin+":phase", period, body)
+}
+
+// periodicNamed is Periodic with the phase event's name, origin + ":phase",
+// passed in, so callers with constant origins pass a constant and the
+// boot builds no string.
+func (k *HostKit) periodicNamed(origin, phaseName string, period sim.Duration, body func()) *jiffies.Timer {
 	p := &periodic{k: k, period: period, body: body}
 	k.L.Base().Init(&p.t, origin, 0, p.fire)
-	k.Eng.After(k.Uniform(0, period), origin+":phase", p.phase)
+	k.Eng.After(k.Uniform(0, period), phaseName, p.phase)
 	return &p.t
 }
 
@@ -216,22 +223,35 @@ func (k *HostKit) popTimer(pool *[]*jiffies.Timer, origin string) *jiffies.Timer
 // write-back (with occasional disk I/O) and the console-blank watchdog.
 func (k *HostKit) BootKernelDaemons() {
 	b := k.L.Base()
-	k.Periodic("kernel/workqueue:timer", workqueueTimerPeriod, nil)
-	k.Periodic("kernel/workqueue:delayed", workqueueDelayedPeriod, nil)
-	k.Periodic("kernel/hres:clocksource-watchdog", clocksourceWatchdogPeriod, nil)
-	k.Periodic("kernel/usb:hcd-poll", usbHcdPollPeriod, nil)
-	k.Periodic("kernel/e1000:watchdog", e1000WatchdogPeriod, nil)
-	k.Periodic("kernel/pktsched:qdisc", qdiscPeriod, nil)
-	k.Periodic("kernel/vm:vmstat-update", vmstatUpdatePeriod, nil)
-	k.Periodic("kernel/mm:slab-reap", slabReapPeriod, nil)
+	// Constant origins, so each phase name below is a constant too.
+	const (
+		workqueueTimer      = "kernel/workqueue:timer"
+		workqueueDelayed    = "kernel/workqueue:delayed"
+		clocksourceWatchdog = "kernel/hres:clocksource-watchdog"
+		usbHcdPoll          = "kernel/usb:hcd-poll"
+		e1000Watchdog       = "kernel/e1000:watchdog"
+		qdisc               = "kernel/pktsched:qdisc"
+		vmstatUpdate        = "kernel/vm:vmstat-update"
+		slabReap            = "kernel/mm:slab-reap"
+		writeback           = "kernel/mm:writeback"
+		pageOut             = "kernel/mm:page-out"
+	)
+	k.periodicNamed(workqueueTimer, workqueueTimer+":phase", workqueueTimerPeriod, nil)
+	k.periodicNamed(workqueueDelayed, workqueueDelayed+":phase", workqueueDelayedPeriod, nil)
+	k.periodicNamed(clocksourceWatchdog, clocksourceWatchdog+":phase", clocksourceWatchdogPeriod, nil)
+	k.periodicNamed(usbHcdPoll, usbHcdPoll+":phase", usbHcdPollPeriod, nil)
+	k.periodicNamed(e1000Watchdog, e1000Watchdog+":phase", e1000WatchdogPeriod, nil)
+	k.periodicNamed(qdisc, qdisc+":phase", qdiscPeriod, nil)
+	k.periodicNamed(vmstatUpdate, vmstatUpdate+":phase", vmstatUpdatePeriod, nil)
+	k.periodicNamed(slabReap, slabReap+":phase", slabReapPeriod, nil)
 	// Dirty page write-back occasionally finds work and does disk I/O.
-	k.Periodic("kernel/mm:writeback", writebackInterval, func() {
+	k.periodicNamed(writeback, writeback+":phase", writebackInterval, func() {
 		if k.Rng.Intn(4) == 0 {
 			k.DiskIO()
 		}
 	})
 	// Page-out timer.
-	k.Periodic("kernel/mm:page-out", pageOutInterval, nil)
+	k.periodicNamed(pageOut, pageOut+":phase", pageOutInterval, nil)
 	// Console blank: a long watchdog; no console input ever arrives in
 	// these workloads, so it expires once (blanks) per 10 minutes of trace.
 	var blank *jiffies.Timer

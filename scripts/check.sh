@@ -38,6 +38,16 @@ echo "== RNG source determinism golden test =="
 # (the checkpoint's RNG position) reset by Seed and advanced per raw value.
 go test -race -count=2 -run 'TestSourceMatchesMathRand|TestEngineRandMatchesMathRand|TestRandDrawsCountsAndPreservesStream|TestMulModP' ./internal/sim
 
+echo "== digest determinism golden test =="
+# The one FNV-1a helper (internal/fnv1a) must equal hash/fnv at every
+# integer width and over bytes and strings. Every digest built on it must
+# equal hash/fnv over the bytes it claims to fold: HashSink.Log over each
+# record's 40-byte encoding (records using every byte of every field), the
+# fleet's per-host and fleet-wide digests on real traffic, the engine's
+# events hash and the checkpoint checksum.
+go test -race -count=2 -run 'TestUintMatchesFNV|TestBytesAndStringMatchFNV|TestUintRejectsWideValue|TestHashSinkLogMatchesFNV|FuzzHashSinkMatchesFNV|TestHashSinkMatchesBuffer|TestFleetHashSinkMatchesBuffer|TestEventsHashMatchesFNV|TestCheckpointChecksumMatchesFNV' \
+	./internal/fnv1a ./internal/trace ./internal/fleet ./internal/sim
+
 echo "== spill-vs-memory determinism golden test =="
 # The streaming trace path (v2 spill files) must render byte-identical
 # tables and figures to the in-memory path.
@@ -86,16 +96,17 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # on first use; a jiffies timer stays in the 144-byte size class; and the
 # benchmark's 1024-host plane keeps at most 23 KiB of live heap per host.
 # The build guards pin what a fleet host costs to boot: building that plane
-# makes at most 150 heap allocations per host, and reseeding an engine's
-# RNG source makes none.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestSourceSeedZeroAlloc|TestBuildAllocsPerHost|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
+# makes at most 140 heap allocations per host, and reseeding an engine's
+# RNG source makes none. A HashSink folds a record into its digest without
+# allocating.
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestSourceSeedZeroAlloc|TestHashSinkLogZeroAlloc|TestBuildAllocsPerHost|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim ./internal/timerwheel
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
 # _perfbench is its own module; its tests run each workload at --tiny scale.
 (cd _perfbench && go test .)
 
-echo "== codec, ingest, merge and RNG fuzz smoke (10s per fuzzer) =="
+echo "== codec, ingest, merge, RNG and digest fuzz smoke (10s per fuzzer) =="
 # FuzzDecodeV2 is differential: StreamReader and FrameDecoder, whole and
 # frame by frame, must agree. FuzzIngest drives the serve ingest handler
 # with reordered, duplicate and skipped batches. FuzzMergerViews is
@@ -103,13 +114,15 @@ echo "== codec, ingest, merge and RNG fuzz smoke (10s per fuzzer) =="
 # merging at fuzz-chosen points must equal Run over the fed prefixes at
 # every view. FuzzSourceMatchesMathRand compares the engine's RNG source
 # with rand.NewSource at fuzz-chosen seeds over 2,000 rounds of derived
-# draws.
+# draws. FuzzHashSinkMatchesFNV compares a HashSink's digest with hash/fnv
+# over a fuzz-chosen label and record's bytes.
 go test -run '^$' -fuzz 'FuzzDecodeV2$' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzIngest$' -fuzztime=10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzMergerViews$' -fuzztime=10s ./internal/analysis
 go test -run '^$' -fuzz 'FuzzReadCheckpoint' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
 go test -run '^$' -fuzz 'FuzzSourceMatchesMathRand$' -fuzztime=10s ./internal/sim
+go test -run '^$' -fuzz 'FuzzHashSinkMatchesFNV$' -fuzztime=10s ./internal/trace
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime=1x ./...
@@ -119,12 +132,13 @@ go run ./cmd/timerlint ./...
 
 echo "== timerlint allocfree gate (annotated hot paths must have no heap escapes) =="
 # Redundant with the full run above, but asserted separately so an alloc
-# regression on the engine schedule/expire path, the trace encoders, the
+# regression on the engine schedule/expire path, the FNV-1a folds behind
+# every digest, the trace encoders and the HashSink record fold, the
 # analysis per-record fold, the blocking syscalls (kernel select/poll
 # block, expire and complete, the CompleteAfter wake node; ktimer WaitFor,
 # the clock-interrupt expiry and the wait DPC) or the workload loop bodies
 # that drive them fails with an unmistakable step name.
-go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/trace ./internal/analysis ./internal/kernel ./internal/ktimer ./internal/workloads
+go run ./cmd/timerlint -run allocfree ./internal/fnv1a ./internal/sim ./internal/trace ./internal/analysis ./internal/kernel ./internal/ktimer ./internal/workloads
 
 echo "== timerlint serve gates (stream ingest + producer sink) =="
 # The live service and the HTTP producer sink hold the retry/backoff and
