@@ -2,6 +2,7 @@ package serve
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -32,10 +33,16 @@ type MetricsSnapshot struct {
 	Version string  `json:"version"`
 	UptimeS float64 `json:"uptime_s"`
 
-	Goroutines     int    `json:"goroutines"`
+	Goroutines int `json:"goroutines"`
+	// HeapAllocBytes is MemStats.HeapAlloc, read without a collection: it
+	// counts garbage not yet swept, so it swings with GC timing.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	NumGC          uint32 `json:"num_gc"`
+	// HeapLiveBytes is the heap the last GC marked live
+	// (/gc/heap/live:bytes): a stable reading of what the service holds,
+	// with no collection forced to take it.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapSysBytes  uint64 `json:"heap_sys_bytes"`
+	NumGC         uint32 `json:"num_gc"`
 
 	Posts         uint64 `json:"ingest_posts"`
 	DupPosts      uint64 `json:"ingest_dup_posts"`
@@ -65,12 +72,15 @@ type MetricsSnapshot struct {
 func (m *Metrics) Snapshot(version string, uptime time.Duration) MetricsSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
 	opened, closed := m.StreamsOpened.Load(), m.StreamsClosed.Load()
 	s := MetricsSnapshot{
 		Version:        version,
 		UptimeS:        uptime.Seconds(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: ms.HeapAlloc,
+		HeapLiveBytes:  live[0].Value.Uint64(),
 		HeapSysBytes:   ms.HeapSys,
 		NumGC:          ms.NumGC,
 		Posts:          m.Posts.Load(),

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -189,6 +190,8 @@ func TestServeQuiesceDeterminism(t *testing.T) {
 		t.Errorf("quiesced re-read remerged: %d -> %d", merges, got)
 	}
 
+	// heap_live_bytes is what the last GC marked: zero until one has run.
+	runtime.GC()
 	var met MetricsSnapshot
 	if err := json.Unmarshal(httpGet(t, ts.URL+"/api/metrics"), &met); err != nil {
 		t.Fatal(err)
@@ -205,6 +208,9 @@ func TestServeQuiesceDeterminism(t *testing.T) {
 	}
 	if met.TimerIDCollisions != 0 {
 		t.Errorf("namespaced producers: timer_id_collisions = %d want 0", met.TimerIDCollisions)
+	}
+	if met.HeapLiveBytes == 0 || met.HeapLiveBytes > met.HeapSysBytes {
+		t.Errorf("heap_live_bytes = %d, want positive and at most heap_sys_bytes (%d)", met.HeapLiveBytes, met.HeapSysBytes)
 	}
 }
 

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"io"
 	"testing"
+
+	"timerstudy/internal/sim"
 )
 
 // TestLogZeroAlloc guards the two steady states of the Log hot path: while
@@ -128,5 +131,46 @@ func TestFrameDecoderFeedZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Feed of a record-frame batch allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestStreamReaderForEachChunkZeroAlloc guards the serial read path: once
+// the reader is built, a pass allocates its one block of records and
+// nothing per block, because each block is decoded straight out of the
+// reader's buffer into that block. A one-block stream and a stream of
+// hundreds of blocks over several frames must cost the same. Run without
+// -race in CI, like the other alloc guards.
+func TestStreamReaderForEachChunkZeroAlloc(t *testing.T) {
+	pass := func(nrec int) float64 {
+		var buf bytes.Buffer
+		sw := NewStreamWriter(&buf)
+		for i := 0; i < nrec; i++ {
+			sw.Log(Record{T: sim.Time(i), TimerID: uint64(i % 7), Op: OpSet, Timeout: int64(i)})
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 4
+		readers := make([]*StreamReader, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range readers {
+			var err error
+			if readers[i], err = NewStreamReader(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		noop := func(Chunk) error { return nil }
+		return testing.AllocsPerRun(runs, func() {
+			if err := readers[next].ForEachChunk(1, noop); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	const nrec = 3*DefaultChunkRecords + 5000 // four frames, hundreds of blocks
+	one, many := pass(10), pass(nrec)
+	if one > 1 || many != one {
+		t.Errorf("a serial pass allocates %.1f objects over 10 records, %.1f over %d; want at most 1 (the block), the same for both",
+			one, many, nrec)
 	}
 }

@@ -3,14 +3,15 @@ package trace
 import "sync"
 
 // Chunk-buffer recycler. Every default-size chunk buffer the package uses —
-// a StreamWriter's in-place frame, a StreamReader's raw record payload and
-// its decoded records — comes from these pools and goes back when its owner
-// is done, so a process that writes and reads stream after stream reuses a
-// few chunk buffers instead of allocating 2.5 MiB per stream and per pass.
-// The pools hold pointers to slices: putting a bare slice would box its
-// header on every call. Buffers of any other size (small writer chunks,
-// frames up to the maxChunkRecords bound) are allocated and dropped as
-// before.
+// a StreamWriter's in-place frame, and the parallel read path's raw record
+// payloads and decoded records — comes from these pools and goes back when
+// its owner is done, so a process that writes and reads stream after stream
+// reuses a few chunk buffers instead of allocating 2.5 MiB per stream and
+// per pass. The serial read path holds no chunk at all: it decodes 40 KiB
+// blocks straight out of its reader's buffer (see readBlocks). The pools
+// hold pointers to slices: putting a bare slice would box its header on
+// every call. Buffers of any other size (small writer chunks, frames up to
+// the maxChunkRecords bound) are allocated and dropped as before.
 
 // chunkBytes is the payload size of one default-size record chunk.
 const chunkBytes = DefaultChunkRecords * RecordSize

@@ -75,14 +75,16 @@ func TestStreamWriterTakesChunkAtFirstLog(t *testing.T) {
 	}
 }
 
-// TestStreamReadersReuseChunk pins the reader half: a second StreamReader
-// over the same stream, serial or parallel, takes its raw and record
-// chunks from the recycler instead of allocating them.
+// TestStreamReadersReuseChunk pins the reader half. The serial path holds
+// no chunk at all (it decodes blocks straight out of its read buffer), so
+// even the first serial reader allocates less than one chunk buffer; a
+// second parallel reader takes its raw and record chunks from the recycler
+// instead of allocating them.
 func TestStreamReadersReuseChunk(t *testing.T) {
 	deterministicPools(t)
 	stream := buildV2(t, 3000, DefaultChunkRecords)
-	for _, workers := range []int{1, 2} {
-		read := func() {
+	read := func(workers int) func() {
+		return func() {
 			sr, err := NewStreamReader(bytes.NewReader(stream))
 			if err != nil {
 				t.Fatal(err)
@@ -91,9 +93,12 @@ func TestStreamReadersReuseChunk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		read()
-		if got := totalAlloc(read); got >= chunkBytes {
-			t.Fatalf("workers=%d: second reader allocated %d bytes, want < one chunk buffer (%d)", workers, got, chunkBytes)
-		}
+	}
+	if got := totalAlloc(read(1)); got >= chunkBytes {
+		t.Fatalf("workers=1: first reader allocated %d bytes, want < one chunk buffer (%d)", got, chunkBytes)
+	}
+	read(2)()
+	if got := totalAlloc(read(2)); got >= chunkBytes {
+		t.Fatalf("workers=2: second reader allocated %d bytes, want < one chunk buffer (%d)", got, chunkBytes)
 	}
 }

@@ -16,35 +16,41 @@ const magic = "TSTR"
 // asserts the stream writer really emits records of this size.
 const RecordSize = 40
 
-// putRecord encodes one record into dst (the caller provides RecordSize
-// bytes of scratch). HashSink.Log folds the same layout field by field
-// without encoding; TestHashSinkLogMatchesFNV holds the two together.
+// putRecord encodes *r into dst (the caller provides RecordSize bytes of
+// scratch). It takes a pointer because Record, at seven fields, is too wide
+// for the compiler to keep in registers: a by-value argument is copied
+// through the stack a second time. HashSink.Log folds the same layout field
+// by field without encoding; TestHashSinkLogMatchesFNV holds the two
+// together.
 //
 //lint:allocfree v2 record encoder: fixed-width stores into caller scratch
-func putRecord(dst []byte, r Record) {
+func putRecord(dst []byte, r *Record) {
+	dst = dst[:RecordSize] // the one bounds check; every store below is proven in range
 	le := binary.LittleEndian
 	le.PutUint64(dst[0:], uint64(r.T))
 	le.PutUint64(dst[8:], r.TimerID)
 	le.PutUint64(dst[16:], uint64(r.Timeout))
 	le.PutUint32(dst[24:], uint32(r.PID))
 	le.PutUint32(dst[28:], r.Origin)
-	dst[32] = byte(r.Op)
-	le.PutUint16(dst[33:], uint16(r.Flags))
-	// bytes 35..39 are padding, kept zero.
-	dst[35], dst[36], dst[37], dst[38], dst[39] = 0, 0, 0, 0, 0
+	// Op (byte 32), Flags (33..34) and the zero padding (35..39) as one
+	// store (TestPutRecordMatchesFieldStores).
+	le.PutUint64(dst[32:], uint64(r.Op)|uint64(r.Flags)<<8)
 }
 
-func getRecord(src []byte) Record {
+// decodeRecord decodes the first RecordSize bytes of s into *d, storing each
+// field in place rather than building a Record to copy.
+//
+//lint:allocfree v2 record decoder: fixed-width loads into caller storage
+func decodeRecord(d *Record, s []byte) {
+	s = s[:RecordSize] // the one bounds check; every load below is proven in range
 	le := binary.LittleEndian
-	return Record{
-		T:       sim.Time(le.Uint64(src[0:])),
-		TimerID: le.Uint64(src[8:]),
-		Timeout: int64(le.Uint64(src[16:])),
-		PID:     int32(le.Uint32(src[24:])),
-		Origin:  le.Uint32(src[28:]),
-		Op:      Op(src[32]),
-		Flags:   Flags(le.Uint16(src[33:])),
-	}
+	d.T = sim.Time(le.Uint64(s[0:]))
+	d.TimerID = le.Uint64(s[8:])
+	d.Timeout = int64(le.Uint64(s[16:]))
+	d.PID = int32(le.Uint32(s[24:]))
+	d.Origin = le.Uint32(s[28:])
+	d.Op = Op(s[32])
+	d.Flags = Flags(le.Uint16(s[33:]))
 }
 
 // maxReasonable bounds declared counts (origin tables, checkpoint hosts) so

@@ -25,10 +25,16 @@ type decoded struct {
 	counters Counters
 }
 
-// readStream decodes data through a StreamReader.
-func readStream(data []byte) (decoded, error) {
+// testBlockRecords is the serial read block decodeAll and FuzzDecodeV2 run
+// the StreamReader at: small enough that a frame of a few records already
+// spans several blocks.
+const testBlockRecords = 3
+
+// readStream decodes data through a StreamReader whose serial path reads
+// blocks of block records.
+func readStream(data []byte, block int) (decoded, error) {
 	var out decoded
-	sr, err := NewStreamReader(bytes.NewReader(data))
+	sr, err := newStreamReaderBlock(bytes.NewReader(data), block)
 	if err != nil {
 		return out, err
 	}
@@ -76,13 +82,14 @@ func errText(err error) string {
 	return strings.Replace(err.Error(), errNotAligned.Error(), io.ErrUnexpectedEOF.Error(), 1)
 }
 
-// decodeAll decodes data through a StreamReader and through a FrameDecoder
-// fed the stream as one batch and then one frame per batch. It fails the
-// test unless all three yield the same records, origins and counters, or
-// the same error at the same byte offset, and returns the common result.
+// decodeAll decodes data through a StreamReader reading testBlockRecords
+// records at a time and through a FrameDecoder fed the stream as one batch
+// and then one frame per batch. It fails the test unless all three yield
+// the same records, origins and counters, or the same error at the same
+// byte offset, and returns the common result.
 func decodeAll(tb testing.TB, data []byte) (decoded, error) {
 	tb.Helper()
-	want, wantErr := readStream(data)
+	want, wantErr := readStream(data, testBlockRecords)
 	for _, cuts := range [][]int{nil, scanFrames(data)} {
 		got, err := feedBatches(data, cuts)
 		if errText(err) != errText(wantErr) {
@@ -210,6 +217,13 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(append(full, 0))                // trailing garbage
 	f.Add([]byte("TSTR\x02\x00\x00\x00")) // header only, no footer
 	f.Add([]byte("TSTR"))
+	// Frames spanning several testBlockRecords blocks: whole, cut inside a
+	// later block, and with a bad origin in an early block of a frame cut
+	// short, where truncation must win.
+	multi := seed(40, 16)
+	f.Add(multi)
+	f.Add(multi[:len(multi)/2])
+	f.Add(badOriginStream(f, 16, 1, 11))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeAll(t, data)
@@ -227,7 +241,7 @@ func FuzzDecodeV2(f *testing.F) {
 		if err := sw.Close(); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		again, err := readStream(buf.Bytes())
+		again, err := readStream(buf.Bytes(), testBlockRecords)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

@@ -56,13 +56,20 @@ func (w *frameWalker) take(n int, dst []byte, what string) ([]byte, error) {
 	}
 	got, err := io.ReadFull(w.br, dst[:n])
 	w.off += int64(got)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("trace: %s truncated at byte offset %d: %w", what, w.off, io.ErrUnexpectedEOF)
-	}
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading %s at byte offset %d: %w", what, w.off, err)
+		return nil, w.readErr(what, err)
 	}
 	return dst[:n], nil
+}
+
+// readErr names a failed read of what from the buffered reader at the
+// current offset: running out of input is truncation, anything else is the
+// reader's own error.
+func (w *frameWalker) readErr(what string, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("trace: %s truncated at byte offset %d: %w", what, w.off, io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("trace: reading %s at byte offset %d: %w", what, w.off, err)
 }
 
 // header consumes and validates the 8-byte stream header.
@@ -111,12 +118,12 @@ func (w *frameWalker) nextKind() (kind byte, ok bool, err error) {
 }
 
 // walk validates and consumes frames until the input ends. Origin frames
-// extend w.origins in place; the counters footer fills w.counters. Each
-// record frame's raw payload goes to emit with its record count: a batch
-// hands out a slice of itself, a reader copies the payload into
-// payload(n), a caller-owned buffer of at least n bytes. emit errors abort
-// the walk unchanged.
-func (w *frameWalker) walk(payload func(n int) []byte, emit func(raw []byte, count int) error) error {
+// extend w.origins in place; the counters footer fills w.counters. For each
+// record frame, walk consumes the header and calls records with the frame's
+// record count; records must consume the count×RecordSize payload bytes
+// that follow (with take, or block by block from w.br). Its errors abort the
+// walk unchanged.
+func (w *frameWalker) walk(records func(count int) error) error {
 	le := binary.LittleEndian
 	for {
 		kind, ok, err := w.nextKind()
@@ -171,16 +178,7 @@ func (w *frameWalker) walk(payload func(n int) []byte, emit func(raw []byte, cou
 				// make it allocate.
 				return fmt.Errorf("trace: implausible record chunk (%d records)", count)
 			}
-			n := int(count) * RecordSize
-			var dst []byte
-			if w.br != nil {
-				dst = payload(n)
-			}
-			raw, err := w.take(n, dst, "record chunk")
-			if err != nil {
-				return err
-			}
-			if err := emit(raw, int(count)); err != nil {
+			if err := records(int(count)); err != nil {
 				return err
 			}
 		case frameCounters:
@@ -254,8 +252,11 @@ func (d *FrameDecoder) Feed(batch []byte, emit func(Chunk) error) error {
 		}
 		d.headerDone = true
 	}
-	return d.walk(nil, func(raw []byte, count int) error {
-		var err error
+	return d.walk(func(count int) error {
+		raw, err := d.take(count*RecordSize, nil, "record chunk")
+		if err != nil {
+			return err
+		}
 		d.recs, err = decodeChunk(raw, count, d.recs, len(d.origins))
 		if err != nil {
 			return err

@@ -200,7 +200,7 @@ func (o *fnvOracle) origin(name string, id uint32) {
 
 func (o *fnvOracle) record(r Record) {
 	var enc [RecordSize]byte
-	putRecord(enc[:], r)
+	putRecord(enc[:], &r)
 	o.b = append(o.b, enc[:]...)
 }
 

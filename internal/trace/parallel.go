@@ -68,56 +68,98 @@ func (b *Buffer) ForEachChunk(workers int, fn func(Chunk) error) error {
 	return nil
 }
 
-// ForEachChunk decodes the stream's record chunks on up to workers
-// goroutines and calls fn with each chunk, in frame order, on the calling
-// goroutine. workers <= 1 decodes inline with no goroutines. Like ForEach it
-// may be called once; memory is bounded by O(workers) chunks in flight plus
-// the origin table.
+// ForEachChunk decodes the stream's records on up to workers goroutines and
+// calls fn with each chunk, in stream order, on the calling goroutine.
+// workers <= 1 decodes inline with no goroutines, in blocks of at most
+// readBlockRecords records read straight out of the reader's buffer, so a
+// serial chunk is a slice of a frame, not a whole frame; the parallel path
+// delivers one chunk per frame. Like ForEach it may be called once; memory
+// is bounded by O(workers) chunks in flight plus the origin table.
+//
+// Serially, a frame's early blocks reach fn before its end has been read.
+// Errors still take the whole-frame precedence: a frame cut short reports
+// its truncation even when an earlier block of it held an out-of-range
+// origin, exactly as FrameDecoder and the parallel path do.
 func (s *StreamReader) ForEachChunk(workers int, fn func(Chunk) error) error {
 	if s.consumed {
 		return fmt.Errorf("trace: stream already consumed; reopen the file for a second pass")
 	}
 	s.consumed = true
 	if workers <= 1 {
-		rawp, recp := getRawChunk(), getRecChunk()
-		defer putRawChunk(rawp)
-		defer putRecChunk(recp)
-		raw, recs := *rawp, *recp
-		return s.walk(
-			func(need int) []byte {
-				if cap(raw) < need {
-					raw = make([]byte, need)
-				}
-				return raw
-			},
-			func(p []byte, count int) error {
-				var err error
-				recs, err = decodeChunk(p, count, recs, len(s.origins))
-				if err != nil {
-					return err
-				}
-				return fn(Chunk{Records: recs, Origins: s.origins})
-			})
+		block := make([]Record, s.block)
+		return s.walk(func(count int) error { return s.readBlocks(count, block, fn) })
 	}
 	return s.forEachChunkParallel(workers, fn)
 }
 
+// readBlocks consumes one record frame of count records from the buffered
+// reader, a block of at most len(block) records at a time. Each block is
+// decoded straight out of bufio's buffer (Peek, then Discard), so no
+// payload byte is copied, and into block, so fn reads records that are
+// still in cache. A block is cut short to the whole records already
+// buffered, so a refill slides fewer than RecordSize bytes to the front of
+// the buffer. After an out-of-range origin no further record is delivered:
+// the rest of the frame is discarded, and the origin error is returned only
+// if the frame turns out to be complete.
+func (s *StreamReader) readBlocks(count int, block []Record, fn func(Chunk) error) error {
+	br := s.br
+	for count > 0 {
+		n := min(count, len(block))
+		if buffered := br.Buffered() / RecordSize; buffered > 0 {
+			n = min(n, buffered)
+		}
+		p, err := br.Peek(n * RecordSize)
+		if err != nil {
+			s.off += int64(len(p))
+			return s.readErr("record chunk", err)
+		}
+		recs, bad := decodeChunk(p, n, block, len(s.origins))
+		if bad != nil {
+			d, err := br.Discard(count * RecordSize)
+			s.off += int64(d)
+			if err != nil {
+				return s.readErr("record chunk", err)
+			}
+			return bad
+		}
+		_, _ = br.Discard(n * RecordSize) // cannot fail: Peek buffered these bytes
+		s.off += int64(n * RecordSize)
+		count -= n
+		if err := fn(Chunk{Records: recs, Origins: s.origins}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // decodeChunk decodes count records from raw into dst (reused, returned
 // re-sliced), validating every origin reference against a table of norigins
-// entries.
+// entries. The first out-of-range origin fails the whole chunk.
 func decodeChunk(raw []byte, count int, dst []Record, norigins int) ([]Record, error) {
 	if cap(dst) < count {
 		dst = make([]Record, count)
 	}
 	dst = dst[:count]
-	for i := 0; i < count; i++ {
-		r := getRecord(raw[i*RecordSize:])
-		if int(r.Origin) >= norigins {
-			return dst[:0], fmt.Errorf("trace: record origin %d out of range (table has %d)", r.Origin, norigins)
-		}
-		dst[i] = r
+	if i := decodeRecords(dst, raw, norigins); i < count {
+		return dst[:0], fmt.Errorf("trace: record origin %d out of range (table has %d)", dst[i].Origin, norigins)
 	}
 	return dst, nil
+}
+
+// decodeRecords is decodeChunk's loop: it fills dst from raw (at least
+// len(dst) records long) and returns the index of the first record whose
+// origin is out of range, or len(dst) when every origin resolves.
+//
+//lint:allocfree per-record decode: one bounds check per record, fields stored straight into dst
+func decodeRecords(dst []Record, raw []byte, norigins int) int {
+	for i := range dst {
+		decodeRecord(&dst[i], raw)
+		if int(dst[i].Origin) >= norigins {
+			return i
+		}
+		raw = raw[RecordSize:]
+	}
+	return len(dst)
 }
 
 // errStopped aborts the frame walk after the consumer has already failed;
@@ -166,33 +208,37 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 	go func() {
 		defer close(promises)
 		defer close(jobs)
-		var slot *[]byte
-		err := s.walk(
-			func(need int) []byte {
-				if need <= chunkBytes {
-					slot = getRawChunk()
-					return *slot
-				}
-				slot = nil
-				return make([]byte, need)
-			},
-			func(raw []byte, count int) error {
-				out := make(chan result, 1)
-				select {
-				case promises <- out:
-				case <-stop:
-					putRawChunk(slot)
-					return errStopped
-				}
-				select {
-				case jobs <- job{raw: raw, slot: slot, count: count, origins: s.origins, out: out}:
-				case <-stop:
-					putRawChunk(slot)
-					out <- result{err: errStopped}
-					return errStopped
-				}
-				return nil
-			})
+		err := s.walk(func(count int) error {
+			n := count * RecordSize
+			var slot *[]byte
+			var dst []byte
+			if n <= chunkBytes {
+				slot = getRawChunk()
+				dst = *slot
+			} else {
+				dst = make([]byte, n)
+			}
+			raw, err := s.take(n, dst, "record chunk")
+			if err != nil {
+				putRawChunk(slot)
+				return err
+			}
+			out := make(chan result, 1)
+			select {
+			case promises <- out:
+			case <-stop:
+				putRawChunk(slot)
+				return errStopped
+			}
+			select {
+			case jobs <- job{raw: raw, slot: slot, count: count, origins: s.origins, out: out}:
+			case <-stop:
+				putRawChunk(slot)
+				out <- result{err: errStopped}
+				return errStopped
+			}
+			return nil
+		})
 		if err != nil && err != errStopped {
 			// Frame-level error (truncation, bad frame, ...): deliver it in
 			// order, after every chunk that preceded it.

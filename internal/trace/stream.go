@@ -139,7 +139,7 @@ func (s *StreamWriter) Log(r Record) {
 	}
 	n := len(s.frame)
 	s.frame = s.frame[:n+RecordSize]
-	putRecord(s.frame[n:], r)
+	putRecord(s.frame[n:], &r)
 	if len(s.frame) == cap(s.frame) {
 		s.flushChunk()
 	}
@@ -238,20 +238,27 @@ func (s *StreamWriter) Err() error { return s.err }
 // Counters returns a copy of the operation tallies so far.
 func (s *StreamWriter) Counters() Counters { return s.counters }
 
-// StreamReader is a single-use Source replaying a v2 stream. It holds one
-// chunk's worth of bytes plus the origin table — never the whole trace —
+// readBlockRecords is the most records the serial read path decodes at a
+// time: 40 KiB of payload, which fits in bufio's 64 KiB buffer, and 40 KiB
+// of decoded records, which stay in L1/L2 for the consumer's fold.
+const readBlockRecords = 1024
+
+// StreamReader is a single-use Source replaying a v2 stream. It holds a
+// 64 KiB read buffer, a block of decoded records (or, in the parallel path,
+// a few chunks in flight) plus the origin table — never the whole trace —
 // so files larger than RAM decode in constant memory. Reopen the underlying
 // file for a second pass. Its frame walker is the one FrameDecoder uses, so
 // a stream decodes identically read from a file or fed batch by batch.
 type StreamReader struct {
 	frameWalker
 	consumed bool
+	block    int // records per serial block; readBlockRecords outside tests
 }
 
 // NewStreamReader validates the v2 header of r and returns a reader for the
 // stream. Anything else, a v1 trace included, is refused with an error.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	s := &StreamReader{frameWalker: newFrameWalker(bufio.NewReaderSize(r, 1<<16))}
+	s := &StreamReader{frameWalker: newFrameWalker(bufio.NewReaderSize(r, 1<<16)), block: readBlockRecords}
 	if err := s.header(); err != nil {
 		return nil, err
 	}
@@ -263,8 +270,8 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // table does not (yet) contain, a missing counters footer, or bytes after
 // the footer are all errors, never panics. ForEach may be called once.
 //
-// Decoding is chunk-at-a-time (the frame walk shared with ForEachChunk), so
-// memory is bounded by one chunk plus the origin table, never the trace.
+// Decoding is block-at-a-time (ForEachChunk's serial path), so memory is
+// bounded by one block plus the origin table, never the trace.
 func (s *StreamReader) ForEach(fn func(Record)) error {
 	return s.ForEachChunk(1, func(c Chunk) error {
 		for _, r := range c.Records {

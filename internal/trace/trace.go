@@ -73,7 +73,7 @@ const (
 )
 
 // Record is one traced operation. Its binary layout in a stream's record
-// frames (putRecord/getRecord) is RecordSize (40) bytes, little-endian.
+// frames (putRecord/decodeRecord) is RecordSize (40) bytes, little-endian.
 type Record struct {
 	T       sim.Time // virtual timestamp
 	TimerID uint64   // timer structure identity ("address")

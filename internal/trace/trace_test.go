@@ -131,8 +131,10 @@ func TestRecordCodecProperty(t *testing.T) {
 			Origin: origin, Op: Op(op), Flags: Flags(flags),
 		}
 		var buf [RecordSize]byte
-		putRecord(buf[:], r)
-		return getRecord(buf[:]) == r
+		putRecord(buf[:], &r)
+		var got Record
+		decodeRecord(&got, buf[:])
+		return got == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

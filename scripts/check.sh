@@ -68,8 +68,13 @@ echo "== serial-vs-parallel analysis determinism golden test =="
 # must match the sort it replaced. The count table behind every histogram
 # must match a map oracle across its growth boundaries and in sums, pack
 # every value bin to a key that unpacks to it, and drain in insertion
-# order, with a short mean probe where slot order clusters.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions|TestMergerRemergeIsStable|TestMergerTrailingUseLeavesNoZeroKey|TestMergerOwnsItsPartials|TestWeightedMedianMatchesSort|TestCountTableMatchesMap|TestCountTableSum|TestValueKeyRoundTrip|TestCountTableDrainProbeBound' \
+# order, with a short mean probe where slot order clusters. The serial
+# StreamReader's block decode must yield what a Buffer, both FrameDecoder
+# cut patterns and a 3-record block yield, at frames of 1, 1023, 1024,
+# 1025 and 65,536 records; a frame cut short must report its truncation
+# even after an early block's bad origin, on every front end; and the
+# record encoder's single tail store must equal the per-field layout.
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestRunParallelLongRuns|TestForEachChunkMatchesSerial|TestStreamReaderBlocksMatchFrames|TestStreamReaderBlockErrorPrecedence|TestPutRecordMatchesFieldStores|TestPartialMergeMatchesRunInterleaved|TestPartialConcurrentFeedAndSnapshot|TestPartialPrefixOracle|TestMergePartialsCountsTimerIDCollisions|TestMergerRemergeIsStable|TestMergerTrailingUseLeavesNoZeroKey|TestMergerOwnsItsPartials|TestWeightedMedianMatchesSort|TestCountTableMatchesMap|TestCountTableSum|TestValueKeyRoundTrip|TestCountTableDrainProbeBound' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -83,10 +88,12 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # select/poll or WaitFor cycle, completed early or expired, allocates
 # nothing. The recycling guards pin a paper pass without per-pass garbage:
 # 20 write/Close cycles of a default StreamWriter take fewer than 3 chunk
-# buffers, a second StreamReader and a second analysis reuse the first
-# one's chunk buffers and arena blocks, a warm netsim Send plus delivery
-# allocates nothing, and a warm Linux connect/send/close cycle stays within
-# its stated bound. The analysis per-timer state (pending runs and cached
+# buffers, even a first serial StreamReader allocates less than one chunk
+# buffer, a second parallel StreamReader and a second analysis reuse the
+# first one's chunk buffers and arena blocks, a serial StreamReader pass
+# allocates its one record block and nothing per block, a warm netsim Send
+# plus delivery allocates nothing, and a warm Linux connect/send/close
+# cycle stays within its stated bound. The analysis per-timer state (pending runs and cached
 # origin row included) stays within its 280-byte size pin. The serve ingest
 # decode (a warm FrameDecoder fed a batch of record frames) allocates
 # nothing, and neither does a warm Partial's AddChunk right after a Merger
@@ -99,7 +106,7 @@ echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # makes at most 140 heap allocations per host, and reseeding an engine's
 # RNG source makes none. A HashSink folds a record into its digest without
 # allocating.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestSourceSeedZeroAlloc|TestHashSinkLogZeroAlloc|TestBuildAllocsPerHost|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestSourceSeedZeroAlloc|TestHashSinkLogZeroAlloc|TestBuildAllocsPerHost|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestFrameDecoderFeedZeroAlloc|TestStreamReaderForEachChunkZeroAlloc|TestShardRecordZeroAlloc|TestMergerDrainedAddChunkZeroAlloc|TestCountTableResetRefillZeroAlloc|TestShardFoldZeroAlloc|TestStreamTimerSize|TestTickZeroAlloc|TestDynticksHeapOnlyUnderNoHZ|TestWithQueueBuildsNoDefaultWheel|TestSteadyStateAllocsPerEvent|TestSelectZeroAllocSteadyState|TestWaitForZeroAlloc|TestStreamWriterCyclesReuseChunk|TestStreamReadersReuseChunk|TestRunReusesArenaBlocks|TestSendZeroAllocSteadyState|TestConnCycleAllocs|TestHierarchicalWheelFootprint|TestTimerSize|TestHostHeapBudget' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/jiffies ./internal/fleet ./internal/kernel ./internal/ktimer ./internal/netsim ./internal/timerwheel
 
 echo "== benchmark self-tests (tiny workloads, every output check) =="
@@ -107,8 +114,9 @@ echo "== benchmark self-tests (tiny workloads, every output check) =="
 (cd _perfbench && go test .)
 
 echo "== codec, ingest, merge, RNG and digest fuzz smoke (10s per fuzzer) =="
-# FuzzDecodeV2 is differential: StreamReader and FrameDecoder, whole and
-# frame by frame, must agree. FuzzIngest drives the serve ingest handler
+# FuzzDecodeV2 is differential: StreamReader (at a 3-record read block, so
+# frames span many blocks) and FrameDecoder, whole and frame by frame,
+# must agree, errors included. FuzzIngest drives the serve ingest handler
 # with reordered, duplicate and skipped batches. FuzzMergerViews is
 # differential too: three streams fed in fuzz-chosen chunks to one Merger
 # merging at fuzz-chosen points must equal Run over the fed prefixes at
@@ -133,7 +141,8 @@ go run ./cmd/timerlint ./...
 echo "== timerlint allocfree gate (annotated hot paths must have no heap escapes) =="
 # Redundant with the full run above, but asserted separately so an alloc
 # regression on the engine schedule/expire path, the FNV-1a folds behind
-# every digest, the trace encoders and the HashSink record fold, the
+# every digest, the trace record encoder and decode kernels and the
+# HashSink record fold, the
 # analysis per-record fold, the blocking syscalls (kernel select/poll
 # block, expire and complete, the CompleteAfter wake node; ktimer WaitFor,
 # the clock-interrupt expiry and the wait DPC) or the workload loop bodies
